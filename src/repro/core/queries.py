@@ -37,7 +37,7 @@ from ..lang.parse import Token, is_variable_name, tokenize
 from ..lang.terms import Const, TimeTerm, Var
 from ..temporal.bt import BTResult
 from .answers import DATA, TIME, AnswerSet, Value
-from .spec import RelationalSpec
+from .spec import RelationalSpec, sorted_constants
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +241,20 @@ def _atom_fact(atom: Atom, binding: Mapping[str, Value]) -> Fact:
 
 
 class _SpecDomain:
-    """Quantifier domains + atom oracle backed by a specification."""
+    """Quantifier domains + atom oracle backed by a specification.
+
+    Cheap to build: the data domain is the specification's own lazy
+    :attr:`~repro.core.spec.RelationalSpec.data_domain`, so a ground
+    ask reads only ``W`` and ``B``.
+    """
 
     def __init__(self, spec: RelationalSpec):
         self.spec = spec
         self.time_domain: Sequence[int] = spec.representatives
-        self.data_domain: Sequence[Value] = sorted(
-            spec.active_domain(), key=str
-        )
+
+    @property
+    def data_domain(self) -> Sequence[Value]:
+        return self.spec.data_domain
 
     def holds(self, fact: Fact) -> bool:
         return self.spec.holds(fact)
@@ -266,16 +272,20 @@ class _ModelDomain:
     Temporal quantifiers range over ``[0, time_bound]`` — an
     approximation of the infinite domain used to *test* invariance
     (Proposition 3.1 guarantees agreement when the bound covers ``b+p``).
+    The data domain is collected from the model on first use.
     """
 
     def __init__(self, result: BTResult, time_bound: Union[int, None] = None):
         self.result = result
         bound = time_bound if time_bound is not None else result.horizon
         self.time_domain = range(bound + 1)
-        domain: set[Value] = set()
-        for fact in result.store.facts():
-            domain.update(fact.args)
-        self.data_domain = sorted(domain, key=str)
+        self._data_domain: Union[Sequence[Value], None] = None
+
+    @property
+    def data_domain(self) -> Sequence[Value]:
+        if self._data_domain is None:
+            self._data_domain = sorted_constants(self.result.store)
+        return self._data_domain
 
     def holds(self, fact: Fact) -> bool:
         return self.result.holds(fact)

@@ -26,7 +26,7 @@ paper); open and quantified queries are handled in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from ..lang.atoms import Atom, Fact
@@ -49,6 +49,10 @@ class RelationalSpec:
     p: int
     c: int
     certified: bool
+    #: The sorted data domain of ``primary``, filled on first read of
+    #: :attr:`data_domain` (outside equality, repr and serialisation).
+    _data_domain: Union[tuple[Union[str, int], ...], None] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def representative_of(self, t: int) -> int:
         """The canonical form ``t0`` of the ground temporal term ``t``."""
@@ -96,22 +100,40 @@ class RelationalSpec:
                                      key=str):
                 yield Fact(pred, t, args)
 
-    def active_domain(self) -> set[Union[str, int]]:
-        """All constants occurring in the primary database.
+    @property
+    def data_domain(self) -> tuple[Union[str, int], ...]:
+        """The constants of the primary database, sorted by ``str``.
 
-        Quantifiers over the data sort range over this set when queries
-        are evaluated on the specification (see the Appendix's proof of
-        Proposition 3.1: answer constants always come from ``B``).
+        Quantifiers over the data sort range over this domain when
+        queries are evaluated on the specification (see the Appendix's
+        proof of Proposition 3.1: answer constants always come from
+        ``B``).  Walking ``B`` costs O(|B| log |B|), so it happens at
+        most once per specification, when a data quantifier or data
+        answer variable first needs it; a ground ask never does.
         """
-        domain: set[Union[str, int]] = set()
-        for fact in self.primary.facts():
-            domain.update(fact.args)
+        domain = self._data_domain
+        if domain is None:
+            # Racing first reads compute the same tuple; either wins.
+            domain = sorted_constants(self.primary)
+            object.__setattr__(self, "_data_domain", domain)
         return domain
+
+    def active_domain(self) -> set[Union[str, int]]:
+        """All constants occurring in the primary database."""
+        return set(self.data_domain)
 
     def __repr__(self) -> str:
         return (f"RelationalSpec(|T|={len(self.representatives)}, "
                 f"|B|={len(self.primary)}, W={self.rewrites}, "
                 f"period=({self.b},{self.p}))")
+
+
+def sorted_constants(store: TemporalStore) -> tuple[Union[str, int], ...]:
+    """Every constant in the facts of ``store``, sorted by ``str``."""
+    domain: set[Union[str, int]] = set()
+    for fact in store.facts():
+        domain.update(fact.args)
+    return tuple(sorted(domain, key=str))
 
 
 def spec_from_result(result: BTResult) -> RelationalSpec:

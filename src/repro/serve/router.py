@@ -556,22 +556,13 @@ class _FrontEndHandler(_Handler):
         collector = self.server.collector
         if collector is None:
             return self._reply(
-                404, {"error": "collection is disabled on this tier"})
-        try:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-        except ValueError:
-            return self._reply(400,
-                               {"error": "unreadable Content-Length"})
-        if length < 0:
-            return self._reply(
-                400, {"error": f"negative Content-Length {length}"})
-        if length > self.server.max_body_bytes:
-            return self._reply(413, {
-                "error": f"ingest body of {length} bytes exceeds the "
-                         f"{self.server.max_body_bytes} byte limit"},
+                404, {"error": "collection is disabled on this tier"},
                 close=True)
+        body = self._read_body("ingest body")
+        if isinstance(body, int):
+            return body
         try:
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            payload = json.loads(body or b"{}")
             summary = collector.ingest(payload)
         except (ValueError, TypeError) as exc:
             collector.ingest_error()

@@ -22,11 +22,15 @@ With collection on (a :class:`repro.serve.collect.Collector` attached):
 * ``GET /profile`` — sliding-window per-rule profile plus the cost
   calibration table.
 
-Malformed bodies get a 400, oversized bodies a 413 — both with a JSON
-``{"error": ...}`` body and a correct ``Content-Length``; per-request
-failures (parse errors, unknown kinds) are *not* transport errors —
-they come back 200 with ``ok: false`` on the affected response, so one
-bad request cannot poison a batch.
+Replies are HTTP/1.1: a client may send any number of requests over
+one connection.  Malformed bodies get a 400, oversized bodies a 413 —
+both with a JSON ``{"error": ...}`` body and a correct
+``Content-Length``; a reply sent before the request body was read also
+carries ``Connection: close``, since the unread bytes would otherwise be
+parsed as the next request.  Per-request failures (parse errors,
+unknown kinds) are *not* transport errors — they come back 200 with
+``ok: false`` on the affected response, so one bad request cannot
+poison a batch.
 
 Telemetry
 ---------
@@ -55,6 +59,10 @@ from .service import QueryRequest, QueryService
 
 #: Largest accepted request body, a guard against unbounded reads.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Seconds a keep-alive connection may stay silent (between requests or
+#: mid-request) before its handler thread closes it.
+IDLE_TIMEOUT = 30.0
 
 
 class AccessLog:
@@ -156,6 +164,13 @@ class SpecServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: SpecServer
 
+    # Keep-alive: one connection and one handler thread serve many
+    # requests.  Headers and body go out as two writes, so Nagle plus
+    # the client's delayed ACK would stall every reply by ~40 ms.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT
+
     # -- plumbing ---------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:
@@ -171,8 +186,6 @@ class _Handler(BaseHTTPRequestHandler):
         if trace_id is not None:
             self.send_header("X-Repro-Trace-Id", trace_id)
         if close:
-            # The request body was refused unread; the connection
-            # cannot be reused.
             self.send_header("Connection", "close")
             self.close_connection = True
         self.end_headers()
@@ -283,6 +296,34 @@ class _Handler(BaseHTTPRequestHandler):
                                "(the store is a bounded ring)"})
         return self._reply(200, tree)
 
+    def _read_body(self, what: str = "request body"):
+        """The request body, or the int status of the refusal sent.
+
+        A refusal leaves the body unread on the wire, so it closes the
+        connection rather than let those bytes be parsed as the next
+        request.
+        """
+        if "Transfer-Encoding" in self.headers:
+            return self._reply(411, {
+                "error": "send the body with a Content-Length"},
+                close=True)
+        try:
+            length = int(self.headers.get("Content-Length", 0) or 0)
+        except ValueError:
+            return self._reply(400,
+                               {"error": "unreadable Content-Length"},
+                               close=True)
+        if length < 0:
+            return self._reply(
+                400, {"error": f"negative Content-Length {length}"},
+                close=True)
+        limit = self.server.max_body_bytes
+        if length > limit:
+            return self._reply(413, {
+                "error": f"{what} of {length} bytes exceeds the "
+                         f"{limit} byte limit"}, close=True)
+        return self.rfile.read(length)
+
     def _read_batch(self):
         """Read and validate a ``/query`` body.
 
@@ -292,23 +333,11 @@ class _Handler(BaseHTTPRequestHandler):
         workers unchanged); ``requests`` the validated
         :class:`QueryRequest` objects in the same order.
         """
+        body = self._read_body()
+        if isinstance(body, int):
+            return body
         try:
-            length = int(self.headers.get("Content-Length", 0) or 0)
-        except ValueError:
-            return self._reply(400,
-                               {"error": "unreadable Content-Length"})
-        if length < 0:
-            return self._reply(
-                400, {"error": f"negative Content-Length {length}"})
-        if length > self.server.max_body_bytes:
-            # Refused before reading: the body stays on the wire, so
-            # the reply must close the connection.
-            return self._reply(413, {
-                "error": f"request body of {length} bytes exceeds "
-                         f"the {self.server.max_body_bytes} byte "
-                         "limit"}, close=True)
-        try:
-            data = json.loads(self.rfile.read(length) or b"{}")
+            data = json.loads(body or b"{}")
             if isinstance(data, dict) and "requests" in data:
                 raw = data["requests"]
             else:
@@ -325,7 +354,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _route_post(self, root) -> int:
         if self.path not in ("/query", "/"):
             return self._reply(
-                404, {"error": f"unknown path {self.path!r}"})
+                404, {"error": f"unknown path {self.path!r}"},
+                close=True)
         parsed = self._read_batch()
         if isinstance(parsed, int):
             return parsed

@@ -217,6 +217,8 @@ class TestTierCollection:
             "POST", "/ingest", json.dumps({"spans": []}),
             headers={"Content-Type": "application/json"})
         assert response.status == 404
+        # The envelope was never read, so the connection must close.
+        assert response.getheader("Connection") == "close"
 
 
 class TestTraceCli:

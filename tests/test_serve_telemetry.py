@@ -3,7 +3,8 @@ access logs, the slow-query log, error-body consistency, and the
 16-thread reconciliation invariant (request counter == histogram
 count == /query access-log lines).
 
-Also covers ``repro top`` against a live server.
+Also covers HTTP/1.1 keep-alive (many asks over one connection, and
+refusals that close it) and ``repro top`` against a live server.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import re
 import socket
 import threading
+import time
 
 import pytest
 
@@ -87,6 +89,84 @@ class TestErrorBodies:
         (record,) = point.log_records()
         assert record["status"] == 413
         assert re.fullmatch(r"[0-9a-f]{32}", record["trace_id"])
+
+
+def _exchange(connection, method: str, path: str, body=None,
+              headers=None, **kwargs):
+    """One request on a held-open connection; ``(response, raw)``."""
+    connection.request(method, path, body, headers or {}, **kwargs)
+    response = connection.getresponse()
+    return response, response.read()
+
+
+def _ask(connection, query: str):
+    response, raw = _exchange(
+        connection, "POST", "/query",
+        json.dumps({"program": EVEN, "query": query}),
+        {"Content-Type": "application/json"})
+    assert response.status == 200, raw
+    return response, json.loads(raw)["responses"][0]
+
+
+class TestKeepAlive:
+    """Replies are HTTP/1.1 with TCP_NODELAY: one connection (and one
+    handler thread) serves a whole sequence of asks."""
+
+    @staticmethod
+    def _asks_share_one_connection(port: int) -> None:
+        connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=30)
+        try:
+            _ask(connection, "even(0)")  # computes and caches the spec
+            sock = connection.sock
+            started = time.monotonic()
+            for n in range(20):
+                response, answer = _ask(connection, f"even({n})")
+                assert response.version == 11
+                assert response.will_close is False
+                assert connection.sock is sock
+                assert answer["ok"] and answer["answer"] is (n % 2 == 0)
+            elapsed = time.monotonic() - started
+        finally:
+            connection.close()
+        # Nagle plus a delayed ACK stalls a reply ~40 ms: >= 0.8 s.
+        assert elapsed < 0.5, f"20 asks took {elapsed:.3f} s"
+
+    def test_single_process(self, serve_endpoint):
+        self._asks_share_one_connection(serve_endpoint().port)
+
+    def test_tier_front_end(self, tier):
+        self._asks_share_one_connection(tier(workers=1).port)
+
+    @pytest.mark.parametrize("path, headers, chunked", [
+        ("/nope", {}, False),
+        ("/query", {"Content-Length": "junk"}, False),
+        ("/query", {"Content-Length": "-5"}, False),
+        ("/query", {"Transfer-Encoding": "chunked"}, True),
+    ], ids=["unknown-path", "unreadable-length", "negative-length",
+            "chunked"])
+    def test_refusal_before_body_read_closes_connection(
+            self, serve_endpoint, path, headers, chunked):
+        """A reply sent with the body still unread must close the
+        connection; otherwise the body would be parsed as the next
+        request line and every later reply would be off by one."""
+        point = serve_endpoint()
+        connection = http.client.HTTPConnection("127.0.0.1", point.port,
+                                                timeout=30)
+        body = json.dumps({"program": EVEN, "query": "even(3)"})
+        try:
+            response, raw = _exchange(
+                connection, "POST", path,
+                [body.encode("utf-8")] if chunked else body,
+                {"Content-Type": "application/json", **headers},
+                encode_chunked=chunked)
+            assert 400 <= response.status < 500
+            assert "error" in json.loads(raw)
+            assert response.getheader("Connection") == "close"
+            response, answer = _ask(connection, "even(4)")
+            assert answer["ok"] and answer["answer"] is True
+        finally:
+            connection.close()
 
 
 class TestTracePropagation:

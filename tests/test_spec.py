@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core import compute_specification, spec_from_result
+from repro.core.queries import evaluate, evaluate_on_model, parse_query
+from repro.core.serialize import spec_to_dict
 from repro.lang.atoms import Fact
 from repro.lang.errors import EvaluationError
 from repro.rewrite import RewriteRule, RewriteSystem
-from repro.temporal import bt_evaluate
+from repro.temporal import TemporalStore, bt_evaluate
 
 
 class TestEvenExample:
@@ -65,6 +67,12 @@ class TestSpecProperties:
         spec = compute_specification(travel_program.rules, travel_db)
         assert "hunter" in spec.active_domain()
 
+    def test_data_domain_is_sorted_active_domain(self, path_program,
+                                                 path_db):
+        spec = compute_specification(path_program.rules, path_db)
+        assert spec.data_domain == ("a", "b", "c", "d")
+        assert spec.active_domain() == {"a", "b", "c", "d"}
+
     def test_no_period_raises(self, even_program, even_db):
         result = bt_evaluate(even_program.rules, even_db, window=2)
         assert result.period is None
@@ -114,3 +122,65 @@ class TestFactsBetween:
             if 20 <= f.time <= 60
         }
         assert via_spec == expected
+
+
+def _forbid_store_walks(monkeypatch) -> None:
+    def walk(self):
+        raise AssertionError("walked every fact of the store")
+    monkeypatch.setattr(TemporalStore, "facts", walk)
+
+
+class TestLazyDataDomain:
+    """A ground ask costs one rewrite through ``W`` plus one probe of
+    ``B`` (Proposition 3.1); the data domain of ``B`` is built at most
+    once per specification, and only when a quantifier needs it."""
+
+    def test_ground_ask_never_walks_primary(self, travel_program,
+                                            travel_db, monkeypatch):
+        result = bt_evaluate(travel_program.rules, travel_db)
+        spec = spec_from_result(result)
+        preds = travel_program.temporal_preds
+        expected = {t: result.holds(Fact("plane", t, ("hunter",)))
+                    for t in (12, 14, 40, 10 ** 6)}
+        _forbid_store_walks(monkeypatch)
+        for t, truth in expected.items():
+            query = parse_query(f"plane({t}, hunter)", preds)
+            assert evaluate(query, spec) is truth
+        assert evaluate(parse_query("exists T: plane(T, hunter)",
+                                    preds), spec)
+
+    def test_data_quantifiers_build_domain_once(self, path_program,
+                                                path_db, monkeypatch):
+        spec = compute_specification(path_program.rules, path_db)
+        fresh = compute_specification(path_program.rules, path_db)
+        walks = []
+        facts = TemporalStore.facts
+
+        def counted(self):
+            walks.append(self)
+            return facts(self)
+
+        monkeypatch.setattr(TemporalStore, "facts", counted)
+        preds = path_program.temporal_preds
+        for k in range(50):
+            source, target = "abcd"[k % 4], "abcd"[(k // 4) % 4]
+            query = parse_query(
+                f"exists X: path({k}, {source}, X) and "
+                f"path({k}, X, {target})", preds)
+            # X splits a chain of at most 2k edges into two halves.
+            expected = 0 <= ord(target) - ord(source) <= 2 * k
+            assert evaluate(query, spec) is expected, query
+        assert walks == [spec.primary]
+        # The memo is invisible to equality, repr and serialisation.
+        assert spec == fresh
+        assert repr(spec) == repr(fresh)
+        assert spec_to_dict(spec) == spec_to_dict(fresh)
+
+    def test_ground_query_on_model_never_walks_store(
+            self, travel_program, travel_db, monkeypatch):
+        result = bt_evaluate(travel_program.rules, travel_db)
+        expected = result.holds(Fact("plane", 14, ("hunter",)))
+        _forbid_store_walks(monkeypatch)
+        query = parse_query("plane(14, hunter)",
+                            travel_program.temporal_preds)
+        assert evaluate_on_model(query, result) is expected
