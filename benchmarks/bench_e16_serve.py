@@ -33,7 +33,7 @@ import pytest
 from _util import record, record_stats
 
 from repro.core import TDD
-from repro.obs import EvalStats
+from repro.obs import EvalStats, Instruments
 from repro.serve import QueryRequest, QueryService, SpecCache, tdd_key
 from repro.temporal import TemporalDatabase, bt_evaluate
 from repro.workloads import paper_travel_database, travel_agent_program
@@ -65,7 +65,7 @@ def _instrumented_stats(service: QueryService) -> EvalStats:
     """EvalStats from an instrumented BT run of the same workload, with
     the serve/cache counters merged — mirrors the CLI's --stats path."""
     stats = EvalStats()
-    bt_evaluate(RULES, DB, stats=stats)
+    bt_evaluate(RULES, DB, instruments=Instruments(stats=stats))
     service.attach_stats(stats)
     return stats
 

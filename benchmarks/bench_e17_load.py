@@ -52,7 +52,7 @@ from contextlib import contextmanager
 
 from _util import record, record_stats
 
-from repro.obs import EvalStats
+from repro.obs import EvalStats, Instruments
 from repro.serve import WorkerConfig, WorkerPool, make_frontend
 from repro.temporal import TemporalDatabase, bt_evaluate
 from repro.workloads import paper_travel_database, travel_agent_program
@@ -286,7 +286,7 @@ def _tier_eval_stats(port: int) -> EvalStats:
     stats = EvalStats()
     bt_evaluate(travel_agent_program(),
                 TemporalDatabase(paper_travel_database()),
-                stats=stats)
+                instruments=Instruments(stats=stats))
     aggregated = _fetch_stats(port)
     stats.extra["serve"] = aggregated["serve"]
     stats.extra["cache"] = aggregated["cache"]

@@ -19,7 +19,8 @@ from _util import measured_speedup, record, record_stats
 
 from repro.core import compute_specification
 from repro.datalog.compiled import compiled_fixpoint
-from repro.obs import EvalStats, MetricsRegistry, ProvenanceStore
+from repro.obs import (EvalStats, Instruments, MetricsRegistry,
+                       ProvenanceStore)
 from repro.temporal import TemporalDatabase, bt_evaluate, fixpoint
 from repro.workloads import (coprime_cycles_database,
                              coprime_cycles_program,
@@ -89,20 +90,22 @@ def test_compiled_engine_speedup_on_coprime_window(benchmark):
         f"on k={len(primes)} sync counters (window {window})")
     # Provenance rider: recording a support edge per derived fact must
     # cost a bounded constant factor, and the provenance-off path must
-    # stay the baseline measured above — threading `provenance=None`
-    # through the engine is free.
+    # stay the baseline measured above — running without a provenance
+    # store is free.
     off_s, on_s, _ = measured_speedup(
         lambda: compiled_fixpoint(rules, db, window),
-        lambda: compiled_fixpoint(rules, db, window,
-                                  provenance=ProvenanceStore()))
+        lambda: compiled_fixpoint(
+            rules, db, window,
+            instruments=Instruments(provenance=ProvenanceStore())))
     if not SMOKE:
         assert off_s < 1.5 * comp_s, (
             f"provenance-off compiled run ({off_s:.3f}s) drifted from "
             f"the baseline measured moments earlier ({comp_s:.3f}s)")
     stats = EvalStats()
-    compiled_fixpoint(rules, db, window, stats=stats,
-                      metrics=MetricsRegistry(),
-                      provenance=ProvenanceStore())
+    compiled_fixpoint(rules, db, window,
+                      instruments=Instruments(stats=stats,
+                                              metrics=MetricsRegistry(),
+                                              provenance=ProvenanceStore()))
     record(benchmark, k=len(primes), window=window, engine="compiled",
            facts=len(store), seminaive_seconds=base_s,
            compiled_seconds=comp_s, speedup_vs_seminaive=ratio,

@@ -21,7 +21,8 @@ from _util import measured_speedup, record, record_stats
 from repro.core import compute_specification, evaluate, parse_query
 from repro.datalog.compiled import compiled_fixpoint
 from repro.lang.atoms import Fact
-from repro.obs import EvalStats, MetricsRegistry, ProvenanceStore
+from repro.obs import (EvalStats, Instruments, MetricsRegistry,
+                       ProvenanceStore)
 from repro.temporal import TemporalDatabase, bt_evaluate, fixpoint
 from repro.workloads import paper_travel_database, travel_agent_program
 
@@ -90,16 +91,18 @@ def test_per_query_compiled_engine_speedup(benchmark):
     # provenance-off path is the compiled baseline measured above).
     off_s, on_s, _ = measured_speedup(
         lambda: compiled_fixpoint(RULES, DB, SPEEDUP_DEPTH),
-        lambda: compiled_fixpoint(RULES, DB, SPEEDUP_DEPTH,
-                                  provenance=ProvenanceStore()))
+        lambda: compiled_fixpoint(
+            RULES, DB, SPEEDUP_DEPTH,
+            instruments=Instruments(provenance=ProvenanceStore())))
     if not SMOKE:
         assert off_s < 1.5 * comp_s, (
             f"provenance-off compiled run ({off_s:.3f}s) drifted from "
             f"the baseline measured moments earlier ({comp_s:.3f}s)")
     stats = EvalStats()
-    compiled_fixpoint(RULES, DB, SPEEDUP_DEPTH, stats=stats,
-                      metrics=MetricsRegistry(),
-                      provenance=ProvenanceStore())
+    compiled_fixpoint(RULES, DB, SPEEDUP_DEPTH,
+                      instruments=Instruments(stats=stats,
+                                              metrics=MetricsRegistry(),
+                                              provenance=ProvenanceStore()))
     record(benchmark, depth=SPEEDUP_DEPTH, mode="bt-per-query",
            engine="compiled", seminaive_seconds=base_s,
            compiled_seconds=comp_s, speedup_vs_seminaive=ratio,

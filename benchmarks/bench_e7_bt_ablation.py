@@ -22,7 +22,7 @@ from _util import measured_speedup, record, record_stats
 
 from repro.datalog.compiled import compiled_fixpoint
 from repro.lang import parse_program
-from repro.obs import EvalStats, MetricsRegistry
+from repro.obs import EvalStats, Instruments, MetricsRegistry
 from repro.temporal import TemporalDatabase, bt_verbatim, fixpoint
 from repro.workloads import (copy_chain_database, copy_chain_program,
                              graph_database, paper_travel_database,
@@ -62,8 +62,9 @@ def test_verbatim_bt(benchmark, name):
     result = benchmark(bt_verbatim, rules, db, window)
 
     stats = EvalStats()
-    bt_verbatim(rules, db, window, stats=stats,
-                metrics=MetricsRegistry())
+    bt_verbatim(rules, db, window,
+                instruments=Instruments(stats=stats,
+                                        metrics=MetricsRegistry()))
     record(benchmark, workload=name, window=window, engine="verbatim",
            rounds=result.rounds, facts=len(result.store))
     record_stats(benchmark, stats)
@@ -80,8 +81,8 @@ def test_seminaive_fixpoint(benchmark, name):
     assert store.segment(0, window) == \
         reference.store.segment(0, window)
     stats = EvalStats()
-    fixpoint(rules, db, window, stats=stats,
-             metrics=MetricsRegistry())
+    fixpoint(rules, db, window,
+             instruments=Instruments(stats=stats, metrics=MetricsRegistry()))
     record(benchmark, workload=name, window=window, engine="seminaive",
            facts=len(store))
     record_stats(benchmark, stats)
@@ -131,8 +132,9 @@ def test_compiled_engine_speedup(benchmark, name):
         f"compiled engine only {ratio:.1f}x faster than semi-naive "
         f"on {name!r} (window {window}); expected > {SPEEDUP_FLOOR}")
     stats = EvalStats()
-    compiled_fixpoint(rules, db, window, stats=stats,
-                      metrics=MetricsRegistry())
+    compiled_fixpoint(rules, db, window,
+                      instruments=Instruments(stats=stats,
+                                              metrics=MetricsRegistry()))
     record(benchmark, workload=name, window=window, engine="compiled",
            facts=len(store), seminaive_seconds=base_s,
            compiled_seconds=comp_s, speedup_vs_seminaive=ratio,

@@ -86,7 +86,7 @@ from .analysis import UnknownCodeError
 from .core.serialize import save_spec
 from .core.tdd import TDD
 from .lang.errors import LocatedError, ReproError
-from .obs import EvalStats, JsonLinesSink, Tracer
+from .obs import EvalStats, Instruments, JsonLinesSink, Tracer
 
 
 class _SourceError(Exception):
@@ -117,40 +117,37 @@ def _load(args) -> TDD:
     if engine is not None:
         from .engines import canonical_window_engine
         tdd.engine = canonical_window_engine(engine)
-    stats, tracer = getattr(args, "_obs", (None, None))
-    provenance = None
-    if getattr(args, "trace_provenance", None):
-        from .obs.provenance import ProvenanceStore
-        provenance = ProvenanceStore(tracer=tracer,
-                                     sample=args.trace_provenance)
+    instruments = getattr(args, "_obs", None)
     if getattr(args, "cache", None):
         from .serve import SpecCache, tdd_key
         cache = SpecCache(args.cache)
         key = tdd_key(tdd)
         spec, source = cache.get_with_source(key)
-        if spec is not None and provenance is None:
+        if spec is not None and (instruments is None
+                                 or instruments.provenance is None):
             # Warm path: no BT run at all; queries go straight to the
             # cached finite specification.
             tdd.adopt_specification(spec)
         else:
-            if tracer is not None:
-                tracer.emit_run_start("bt", program=args.file,
-                                      text=text)
-            tdd.evaluate(stats=stats, tracer=tracer,
-                         provenance=provenance)
+            _evaluate(tdd, instruments, args.file, text)
             cache.put(key, tdd.specification())
             source = "computed"
-        if stats is not None:
-            stats.extra["cache"] = dict(cache.counters(),
-                                        source=source, key=key)
+        if instruments is not None:
+            instruments.note(cache=dict(cache.counters(),
+                                        source=source, key=key))
         return tdd
-    if stats is not None or tracer is not None or provenance is not None:
+    if instruments is not None:
         # Evaluate eagerly under instrumentation; the result is cached,
         # so the command's own queries reuse it.
-        if tracer is not None:
-            tracer.emit_run_start("bt", program=args.file, text=text)
-        tdd.evaluate(stats=stats, tracer=tracer, provenance=provenance)
+        _evaluate(tdd, instruments, args.file, text)
     return tdd
+
+
+def _evaluate(tdd: TDD, instruments, path: str, text: str) -> None:
+    """Run BT on ``tdd`` under the CLI's instruments (or none)."""
+    if instruments is not None and instruments.tracer is not None:
+        instruments.tracer.emit_run_start("bt", program=path, text=text)
+    tdd.evaluate(instruments=instruments)
 
 
 def _ground_atom(tdd: TDD, text: str, what: str):
@@ -329,13 +326,14 @@ def cmd_profile(args, out: TextIO) -> int:
               f"{', '.join(PROFILE_ENGINES)}", file=sys.stderr)
         return 2
     tdd, text = _parse_file(args.file)
-    _, tracer = getattr(args, "_obs", (None, None))
+    instruments = getattr(args, "_obs", None)
     query = (None if args.query is None
              else _ground_atom(tdd, args.query, "profile --query"))
-    if tracer is not None:
-        tracer.emit_run_start(args.engine, program=args.file, text=text)
+    if instruments is not None and instruments.tracer is not None:
+        instruments.tracer.emit_run_start(args.engine, program=args.file,
+                                          text=text)
     report = profile_tdd(tdd, args.file, engine=args.engine,
-                         query=query, tracer=tracer)
+                         query=query, instruments=instruments)
     if args.folded:
         print(render_folded(report), file=out)
     elif args.format == "json":
@@ -452,7 +450,8 @@ def cmd_serve(args, out: TextIO) -> int:
     from .serve import (AccessLog, Collector, QueryService, SpecCache,
                         make_server)
     cache = SpecCache(args.cache) if args.cache else SpecCache()
-    stats, tracer = getattr(args, "_obs", (None, None))
+    instruments = getattr(args, "_obs", None)
+    tracer = instruments.tracer if instruments is not None else None
     collector = None if args.no_collect else Collector()
     # `--trace FILE` on serve exports schema-3 span events: one
     # `span` line per request phase, same sink machinery as engine
@@ -503,8 +502,8 @@ def cmd_serve(args, out: TextIO) -> int:
         server.server_close()
         if access_log is not None:
             access_log.close()
-        if stats is not None:
-            service.attach_stats(stats)
+        if instruments is not None and instruments.stats is not None:
+            service.attach_stats(instruments.stats)
     return 0
 
 
@@ -527,7 +526,8 @@ def _cmd_serve_tier(args, out: TextIO) -> int:
         print(f"error: --workers must be positive, got {args.workers}",
               file=sys.stderr)
         return 2
-    stats, tracer = getattr(args, "_obs", (None, None))
+    instruments = getattr(args, "_obs", None)
+    tracer = instruments.tracer if instruments is not None else None
     access_log = None
     if args.access_log:
         try:
@@ -583,8 +583,8 @@ def _cmd_serve_tier(args, out: TextIO) -> int:
         frontend.server_close()
         # Stats aggregation polls the workers, so it must run before
         # the pool goes down.
-        if stats is not None:
-            frontend.attach_stats(stats)
+        if instruments is not None and instruments.stats is not None:
+            frontend.attach_stats(instruments.stats)
         pool.close()
         if access_log is not None:
             access_log.close()
@@ -1078,7 +1078,12 @@ def main(argv: Union[Sequence[str], None] = None,
               file=sys.stderr)
         return 2
     try:
-        args._obs = (stats, tracer)
+        args._obs = (None if stats is None and tracer is None
+                     else Instruments(stats, tracer))
+        if getattr(args, "trace_provenance", None):
+            from .obs.provenance import ProvenanceStore
+            args._obs.provenance = ProvenanceStore(
+                tracer=args._obs.tracer, sample=args.trace_provenance)
         code = args.func(args, stream)
         if stats is not None:
             print("\n-- eval stats --", file=stream)

@@ -213,8 +213,7 @@ def _rewrite_rule(rule: Rule, adornment: Adornment, idb: set[str],
 def magic_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
                    query: Atom,
                    horizon: Union[int, None] = None,
-                   stats=None, tracer=None,
-                   metrics=None) -> TemporalStore:
+                   instruments=None) -> TemporalStore:
     """Evaluate the magic-rewritten program for ``query``.
 
     ``horizon`` defaults to ``max(query time, database depth) + g`` —
@@ -223,13 +222,12 @@ def magic_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
     unbound temporal term need an explicit horizon (their answer set
     may reach arbitrarily far).
     """
-    from ..obs.timing import phase_timer
-    with phase_timer(stats, "magic_rewrite", tracer):
+    from ..obs.instruments import phase
+    with phase(instruments, "magic_rewrite"):
         program = magic_transform(rules, query)
-    if stats is not None:
-        stats.engine = "magic"
-        stats.extra["magic_rules"] = len(program.rules)
-        stats.extra["magic_seeds"] = len(program.seeds)
+    if instruments is not None:
+        instruments.note("magic", magic_rules=len(program.rules),
+                         magic_seeds=len(program.seeds))
     if horizon is None:
         if query.time is not None and not query.time.is_ground:
             raise ClassificationError(
@@ -245,13 +243,13 @@ def magic_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
     # Magic rules carry ground seeds and can be non-range-restricted in
     # the syntactic sense (a magic head with no body); evaluate without
     # the paper-level validator.
-    return fixpoint(program.rules, seeded, horizon, stats=stats,
-                    tracer=tracer, metrics=metrics)
+    return fixpoint(program.rules, seeded, horizon,
+                    instruments=instruments)
 
 
 def magic_ask(rules: Sequence[Rule], database: TemporalDatabase,
               goal: Union[Fact, Atom],
-              stats=None, tracer=None, metrics=None) -> bool:
+              instruments=None) -> bool:
     """Goal-directed ground atomic query via magic sets.
 
     Equivalent to ``bt_evaluate(...).holds(goal)`` (property-tested) but
@@ -261,8 +259,8 @@ def magic_ask(rules: Sequence[Rule], database: TemporalDatabase,
         goal = goal.to_atom()
     if not goal.is_ground:
         raise ClassificationError("magic_ask expects a ground goal")
-    store = magic_evaluate(rules, database, goal, stats=stats,
-                           tracer=tracer, metrics=metrics)
+    store = magic_evaluate(rules, database, goal,
+                           instruments=instruments)
     program_pred = _adorned_name(goal.pred, _atom_adornment(goal, set()))
     answer = Fact(program_pred,
                   goal.time.offset if goal.time is not None else None,

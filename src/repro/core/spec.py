@@ -168,8 +168,7 @@ def compute_specification(rules: Sequence[Rule],
                           range_bound: Union[int, None] = None,
                           max_window: int = 1 << 20,
                           engine: str = "seminaive",
-                          stats=None, tracer=None, metrics=None,
-                          provenance=None) -> RelationalSpec:
+                          instruments=None) -> RelationalSpec:
     """Compute the relational specification ``S(Z∧D)``.
 
     Runs algorithm BT (semi-naive, with period detection) and packages
@@ -180,15 +179,13 @@ def compute_specification(rules: Sequence[Rule],
     (see :mod:`repro.engines`); the specification is the same either
     way — only the time to build it differs.
 
-    ``stats`` / ``tracer`` / ``metrics`` / ``provenance`` are the
-    standard engine instruments (all default to ``None`` and cost
-    nothing absent) — the serving tier passes a fresh
-    :class:`~repro.obs.metrics.MetricsRegistry` and a sampled
+    ``instruments`` (a :class:`~repro.obs.instruments.Instruments`, or
+    None) are the standard engine instruments — the serving tier passes
+    a fresh :class:`~repro.obs.metrics.MetricsRegistry` and a sampled
     :class:`~repro.obs.provenance.ProvenanceStore` here so every spec
     computation feeds the continuous per-rule profile.
     """
     result = bt_evaluate(rules, database, window=window,
                          range_bound=range_bound, max_window=max_window,
-                         engine=engine, stats=stats, tracer=tracer,
-                         metrics=metrics, provenance=provenance)
+                         engine=engine, instruments=instruments)
     return spec_from_result(result)

@@ -102,31 +102,25 @@ class TDD:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, stats=None, tracer=None, metrics=None,
-                 provenance=None, **bt_kwargs) -> BTResult:
+    def evaluate(self, instruments=None, **bt_kwargs) -> BTResult:
         """Run algorithm BT (cached when called without tuning arguments).
 
-        ``stats``/``tracer``/``metrics``/``provenance`` plug the
-        observability layer in (:mod:`repro.obs`); the instrumented
-        result is cached like the plain one, so follow-up queries reuse
-        it (and :meth:`explain` prefers the recorded provenance).
+        ``instruments`` (a :class:`~repro.obs.instruments.Instruments`)
+        plugs the observability layer in; the instrumented result is
+        cached like the plain one, so follow-up queries reuse it (and
+        :meth:`explain` prefers the recorded provenance).
         """
         if bt_kwargs:
             bt_kwargs.setdefault("engine", self.engine)
             return bt_evaluate(self.rules, self.database,
-                               stats=stats, tracer=tracer,
-                               metrics=metrics, provenance=provenance,
-                               **bt_kwargs)
-        if self._result is None or stats is not None \
-                or tracer is not None or metrics is not None \
-                or provenance is not None:
+                               instruments=instruments, **bt_kwargs)
+        if self._result is None or instruments is not None:
             self._result = bt_evaluate(self.rules, self.database,
-                                       stats=stats, tracer=tracer,
-                                       metrics=metrics,
-                                       provenance=provenance,
+                                       instruments=instruments,
                                        engine=self.engine)
-            if provenance is not None:
-                self._provenance = provenance
+            if instruments is not None \
+                    and instruments.provenance is not None:
+                self._provenance = instruments.provenance
         return self._result
 
     def provenance(self):
@@ -134,8 +128,10 @@ class TDD:
         :class:`~repro.obs.provenance.ProvenanceStore` (cached together
         with the result it belongs to)."""
         if self._provenance is None:
+            from ..obs.instruments import Instruments
             from ..obs.provenance import ProvenanceStore
-            self.evaluate(provenance=ProvenanceStore())
+            self.evaluate(instruments=Instruments(
+                provenance=ProvenanceStore()))
         return self._provenance
 
     def specification(self) -> RelationalSpec:

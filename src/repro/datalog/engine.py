@@ -14,7 +14,6 @@ indexes on the bound positions (see :class:`FactStore`).
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable, Iterator, Sequence, Union
 
 from ..lang.atoms import Fact
@@ -157,17 +156,19 @@ def _record_support(provenance, rule: Rule, pred: str, args: ArgTuple,
 
 def immediate_consequences(rules: Sequence[Rule],
                            store: FactStore,
-                           metrics=None) -> FactStore:
+                           instruments=None) -> FactStore:
     """One application of the immediate-consequence operator ``T_S``.
 
     Returns ``T_S(store)`` *including* the facts re-derivable from rules
     with empty bodies; the caller unions in the EDB as the paper's
     operator definition does.
 
-    With ``metrics``, a new fact is credited to its *first* producer in
-    rule order (later producers of the same fact count duplicates), so
-    per-rule ``new_facts`` sums to the round's growth.
+    With a ``metrics`` registry in ``instruments``, a new fact is
+    credited to its *first* producer in rule order (later producers of
+    the same fact count duplicates), so per-rule ``new_facts`` sums to
+    the round's growth.
     """
+    metrics = instruments.metrics if instruments is not None else None
     out = FactStore()
     for rule in rules:
         rm = metrics.rule(rule) if metrics is not None else None
@@ -183,7 +184,6 @@ def immediate_consequences(rules: Sequence[Rule],
                 rm.duplicates += 1
             continue
         if rm is not None:
-            rule_t0 = perf_counter()
             rm.begin_round()
         order = plan_order(rule.body)
         stores = [store] * len(order)
@@ -203,30 +203,27 @@ def immediate_consequences(rules: Sequence[Rule],
             else:
                 rm.duplicates += 1
         if rm is not None:
-            rm.seconds += perf_counter() - rule_t0
             rm.end_round()
     return out
 
 
 def _naive_group(rules: Sequence[Rule], store: FactStore,
                  max_iterations: Union[int, None] = None,
-                 stats=None, tracer=None, metrics=None) -> None:
+                 instruments=None) -> None:
     """Naive iteration of one (stratum's) rule group, in place."""
     iterations = 0
     while True:
         iterations += 1
         if max_iterations is not None and iterations > max_iterations:
             break
-        derived = immediate_consequences(rules, store, metrics=metrics)
+        derived = immediate_consequences(rules, store,
+                                         instruments=instruments)
         changed = 0
         for fact in derived.facts():
             if store.add(fact.pred, fact.args):
                 changed += 1
-        if stats is not None:
-            stats.record_round(derived=changed)
-        if tracer is not None:
-            tracer.emit("round", round=iterations, derived=changed,
-                        store=len(store))
+        if instruments is not None:
+            instruments.round(iterations, changed, store=len(store))
         if not changed:
             break
 
@@ -250,7 +247,7 @@ def _strata(rules: Sequence[Rule]) -> "list[list[Rule]]":
 
 def naive_evaluate(rules: Sequence[Rule], edb: Iterable[Fact],
                    max_iterations: Union[int, None] = None,
-                   stats=None, tracer=None, metrics=None) -> FactStore:
+                   instruments=None) -> FactStore:
     """The (perfect) model by naive iteration, stratum by stratum.
 
     For definite programs this is the least fixpoint ``⋃ T_S^i(∅) ∪ D``;
@@ -259,29 +256,30 @@ def naive_evaluate(rules: Sequence[Rule], edb: Iterable[Fact],
     """
     check_datalog(rules)
     store = FactStore(edb)
-    if stats is not None:
-        stats.engine = "datalog_naive"
-        stats.extra["initial_facts"] = len(store)
-        store.stats = stats
+    if instruments is not None:
+        instruments.start("datalog_naive", initial_facts=len(store))
+        store.stats = instruments.stats
     for group in _strata(rules):
-        _naive_group(group, store, max_iterations, stats=stats,
-                     tracer=tracer, metrics=metrics)
-    if metrics is not None and stats is not None:
-        metrics.export_into(stats)
+        _naive_group(group, store, max_iterations,
+                     instruments=instruments)
+    if instruments is not None:
+        instruments.export()
     store.stats = None
     return store
 
 
 def _seminaive_group(rules: Sequence[Rule], store: FactStore,
-                     stats=None, tracer=None, metrics=None,
-                     provenance=None) -> None:
+                     instruments=None) -> None:
     """Semi-naive iteration of one (stratum's) rule group, in place."""
+    metrics = provenance = None
+    if instruments is not None:
+        metrics = instruments.metrics
+        provenance = instruments.provenance
     # Round 0 below joins against the full store, so the initial delta
     # only needs the facts it introduces.  It is recorded as round 0 in
     # stats/trace so facts_derived reconciles with the final store size
     # and per-rule new_facts credits stay exhaustive.
     initial = len(store)
-    probes0 = 0
     delta = FactStore()
     for rule in rules:
         if rule.is_fact:
@@ -297,122 +295,88 @@ def _seminaive_group(rules: Sequence[Rule], store: FactStore,
                     provenance.record(rule, Fact(pred, None, args), ())
             elif rm is not None:
                 rm.duplicates += 1
-    for rule in rules:
-        if rule.is_fact:
-            continue
-        rm = metrics.rule(rule) if metrics is not None else None
-        if rm is not None:
-            rule_t0 = perf_counter()
-            rm.begin_round()
-        order = plan_order(rule.body)
-        for binding in join(rule.body, order, [store] * len(order)):
-            probes0 += 1
-            if rm is not None:
-                rm.probes += 1
-            if rule.negative and not _negatives_absent(rule, binding,
-                                                       store):
-                continue
-            pred, args = _head_fact(rule.head, binding)
-            if rm is not None:
-                rm.firings += 1
-            if store.add(pred, args):
-                delta.add(pred, args)
-                if rm is not None:
-                    rm.new_facts += 1
-                if provenance is not None:
-                    _record_support(provenance, rule, pred, args,
-                                    binding, 0)
-            elif rm is not None:
-                rm.duplicates += 1
-        if rm is not None:
-            rm.seconds += perf_counter() - rule_t0
-            rm.end_round()
-    if stats is not None:
-        stats.record_round(derived=len(delta), delta=initial)
-        stats.join_probes += probes0
-    if tracer is not None:
-        tracer.emit("round", round=0, delta=initial,
-                    derived=len(delta), probes=probes0, store=len(store))
-
-    # Precompute, per rule, the plans that lead with each body position.
-    plans: list[tuple] = []
-    for rule in rules:
-        if rule.is_fact:
-            continue
-        leads = [(i, plan_order(rule.body, first=i))
-                 for i in range(len(rule.body))]
-        plans.append((rule, leads,
-                      metrics.rule(rule) if metrics is not None else None))
-
+    # Per rule: its record, the full-store plan of round 0, and the
+    # plans that lead with each body position for the delta rounds.
+    plans = [(rule, metrics.rule(rule) if metrics is not None else None,
+              plan_order(rule.body),
+              [(i, plan_order(rule.body, first=i))
+               for i in range(len(rule.body))])
+             for rule in rules if not rule.is_fact]
     round_no = 0
+    probes = _fire_round(plans, store, None, delta, round_no, provenance)
+    if instruments is not None:
+        instruments.round(0, len(delta), initial, probes, len(store))
     while len(delta):
         round_no += 1
-        probes = 0
         new_delta = FactStore()
-        delta_preds = delta.predicates()
-        for rule, leads, rm in plans:
-            if rm is not None:
-                rule_t0 = perf_counter()
-                rm.begin_round()
-            for i, order in leads:
-                if rule.body[i].pred not in delta_preds:
-                    continue
-                stores = [delta] + [store] * (len(order) - 1)
-                for binding in join(rule.body, order, stores):
-                    probes += 1
-                    if rm is not None:
-                        rm.probes += 1
-                    if rule.negative and not _negatives_absent(
-                            rule, binding, store):
-                        continue
-                    pred, args = _head_fact(rule.head, binding)
-                    if rm is not None:
-                        rm.firings += 1
-                    if store.add(pred, args):
-                        new_delta.add(pred, args)
-                        if rm is not None:
-                            rm.new_facts += 1
-                        if provenance is not None:
-                            _record_support(provenance, rule, pred,
-                                            args, binding, round_no)
-                    elif rm is not None:
-                        rm.duplicates += 1
-            if rm is not None:
-                rm.seconds += perf_counter() - rule_t0
-                rm.end_round()
-        if stats is not None:
-            stats.record_round(derived=len(new_delta), delta=len(delta))
-            stats.join_probes += probes
-        if tracer is not None:
-            tracer.emit("round", round=round_no,
-                        delta=len(delta), derived=len(new_delta),
-                        probes=probes, store=len(store))
+        probes = _fire_round(plans, store, delta, new_delta, round_no,
+                             provenance)
+        if instruments is not None:
+            instruments.round(round_no, len(new_delta), len(delta),
+                              probes, len(store))
         delta = new_delta
 
 
+def _fire_round(plans, store: FactStore, delta: Union[FactStore, None],
+                out: FactStore, round_no: int, provenance) -> int:
+    """Fire every rule once, adding its new heads to ``store`` and
+    ``out``; returns the join probes.  ``delta=None`` is round 0: each
+    rule joins the full store once; otherwise each plan leads with a
+    ``delta`` atom."""
+    probes = 0
+    delta_preds = delta.predicates() if delta is not None else None
+    for rule, rm, full, leads in plans:
+        if rm is not None:
+            rm.begin_round()
+        if delta is None:
+            joins = [(full, [store] * len(full))]
+        else:
+            joins = [(order, [delta] + [store] * (len(order) - 1))
+                     for i, order in leads
+                     if rule.body[i].pred in delta_preds]
+        for order, stores in joins:
+            for binding in join(rule.body, order, stores):
+                probes += 1
+                if rm is not None:
+                    rm.probes += 1
+                if rule.negative and not _negatives_absent(
+                        rule, binding, store):
+                    continue
+                pred, args = _head_fact(rule.head, binding)
+                if rm is not None:
+                    rm.firings += 1
+                if store.add(pred, args):
+                    out.add(pred, args)
+                    if rm is not None:
+                        rm.new_facts += 1
+                    if provenance is not None:
+                        _record_support(provenance, rule, pred, args,
+                                        binding, round_no)
+                elif rm is not None:
+                    rm.duplicates += 1
+        if rm is not None:
+            rm.end_round()
+    return probes
+
+
 def seminaive_evaluate(rules: Sequence[Rule], edb: Iterable[Fact],
-                       stats=None, tracer=None, metrics=None,
-                       provenance=None) -> FactStore:
+                       instruments=None) -> FactStore:
     """The (perfect) model by semi-naive iteration with delta relations.
 
     Matches :func:`naive_evaluate` (property-tested); programs with
     stratifiable negation are scheduled stratum by stratum so the
-    negation checks stay stable within each fixpoint.  ``provenance``
-    (a :class:`repro.obs.provenance.ProvenanceStore`) records a support
-    edge for every derived fact.
+    negation checks stay stable within each fixpoint.  A provenance
+    store in ``instruments`` records a support edge for every derived
+    fact.
     """
     check_datalog(rules)
     store = FactStore(edb)
-    if stats is not None:
-        stats.engine = "datalog_seminaive"
-        stats.extra["initial_facts"] = len(store)
-        store.stats = stats
+    if instruments is not None:
+        instruments.start("datalog_seminaive", initial_facts=len(store))
+        store.stats = instruments.stats
     for group in _strata(rules):
-        _seminaive_group(group, store, stats=stats, tracer=tracer,
-                         metrics=metrics, provenance=provenance)
-    if metrics is not None and stats is not None:
-        metrics.export_into(stats)
-    if provenance is not None and stats is not None:
-        provenance.export_into(stats)
+        _seminaive_group(group, store, instruments=instruments)
+    if instruments is not None:
+        instruments.export()
     store.stats = None
     return store

@@ -63,8 +63,9 @@ def window_fixpoint(name: str = "seminaive") -> Callable:
 
     Every returned callable has the
     :func:`repro.temporal.operator.fixpoint` signature:
-    ``(rules, database, horizon, max_facts=None, stats=None,
-    tracer=None, metrics=None) -> TemporalStore``.
+    ``(rules, database, horizon, max_facts=None, instruments=None)
+    -> TemporalStore``, where ``instruments`` is a
+    :class:`repro.obs.instruments.Instruments` or None.
     """
     resolved = canonical_window_engine(name)
     if resolved == "compiled":

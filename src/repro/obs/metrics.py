@@ -8,21 +8,24 @@ attributes the work to individual rules: firings, new facts, duplicate
 (already-derived) derivations, join probes, wall time, and a compact
 power-of-two histogram of new facts per round.
 
-The discipline mirrors :class:`~repro.obs.trace.Tracer`: every engine
-takes ``metrics=None`` and the disabled path costs nothing — no record
-objects, no histogram buckets, no clock reads; the hot loops guard every
-touch with ``is not None`` checks hoisted out of the inner loops (the
-per-rule handle is resolved once per rule, not once per derivation).
+An engine receives the registry as the ``metrics`` member of its
+:class:`~repro.obs.instruments.Instruments`, and the disabled path costs
+nothing — no record objects, no histogram buckets, no clock reads; the
+hot loops guard every touch with ``is not None`` checks hoisted out of
+the inner loops (the per-rule handle is resolved once per rule, not
+once per derivation).
 
 Rule identity is the rule *object* (two textually identical rules at
 different source lines stay distinct), and each record carries the
 rule's :class:`~repro.lang.spans.Span` line so reports can cite
-``file:line``.  Records serialize to the plain-JSON list that engines
-publish under ``EvalStats.extra["rules"]``.
+``file:line``.  Records serialize to the plain-JSON list
+:meth:`Instruments.export <repro.obs.instruments.Instruments.export>`
+publishes under ``EvalStats.extra["rules"]``.
 """
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Iterator, Union
 
 #: Bucket count for :class:`Histogram`: bucket ``i`` holds values whose
@@ -94,7 +97,7 @@ class RuleMetrics:
 
     __slots__ = ("id", "label", "line", "firings", "new_facts",
                  "duplicates", "probes", "seconds", "per_round",
-                 "_round_base")
+                 "_round_base", "_t0")
 
     def __init__(self, rule_id: str, label: str,
                  line: Union[int, None]) -> None:
@@ -108,13 +111,16 @@ class RuleMetrics:
         self.seconds = 0.0
         self.per_round = Histogram()
         self._round_base = 0
+        self._t0 = 0.0
 
     # -- round bookkeeping ----------------------------------------------
 
     def begin_round(self) -> None:
         self._round_base = self.new_facts
+        self._t0 = perf_counter()
 
     def end_round(self) -> None:
+        self.seconds += perf_counter() - self._t0
         self.per_round.record(self.new_facts - self._round_base)
 
     # -- derived quantities ---------------------------------------------
@@ -226,11 +232,3 @@ class MetricsRegistry:
     def to_dict(self) -> list[dict]:
         """Plain-JSON list of per-rule records, registration order."""
         return [record.to_dict() for record in self._records.values()]
-
-    def export_into(self, stats) -> None:
-        """Publish the current snapshot under ``stats.extra["rules"]``.
-
-        Engines call this at their exit points; because the registry is
-        cumulative, the last exporter wins with the full picture.
-        """
-        stats.extra["rules"] = self.to_dict()

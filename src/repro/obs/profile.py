@@ -81,13 +81,15 @@ def _plan_records(rules) -> "list[dict]":
 
 
 def profile_tdd(tdd, program: str, engine: str = "bt",
-                query=None, tracer=None) -> ProfileReport:
+                query=None, instruments=None) -> ProfileReport:
     """Evaluate ``tdd`` under a fresh registry with the named engine.
 
     ``query`` (a ground :class:`~repro.lang.atoms.Atom`) is required by
-    the goal-directed engines and ignored by the others.  Raises
-    :class:`~repro.lang.errors.EvaluationError` on a missing query or
-    an engine/fragment mismatch.
+    the goal-directed engines and ignored by the others.  The run keeps
+    the stats, tracer and provenance store of the caller's
+    ``instruments`` (fresh stats when it has none) and adds the
+    registry.  Raises :class:`~repro.lang.errors.EvaluationError` on a
+    missing query or an engine/fragment mismatch.
     """
     from ..lang.errors import EvaluationError
 
@@ -96,35 +98,39 @@ def profile_tdd(tdd, program: str, engine: str = "bt",
             f"unknown profile engine {engine!r}; "
             f"choose from {', '.join(PROFILE_ENGINES)}"
         )
+    from .instruments import Instruments
     from .provenance import ProvenanceStore
 
-    registry = MetricsRegistry()
-    stats = EvalStats()
+    stats = tracer = provenance = None
+    if instruments is not None:
+        stats, tracer = instruments.stats, instruments.tracer
+        provenance = instruments.provenance
+    run = Instruments(EvalStats() if stats is None else stats, tracer,
+                      MetricsRegistry())
     answer: Union[bool, None] = None
-    if engine == "bt":
+    if engine in ("bt", "compiled"):
         # The full-model engines also record provenance, so the profile
         # carries the proof-DAG shape (supports histogram, depth,
-        # in-degree) next to the per-rule time.
-        tdd.evaluate(stats=stats, tracer=tracer, metrics=registry,
-                     provenance=ProvenanceStore())
-    elif engine == "compiled":
-        # The same BT driver, with the compiled window engine (interned
-        # ints + indexed join plans) doing each window's fixpoint.
-        tdd.evaluate(stats=stats, tracer=tracer, metrics=registry,
-                     provenance=ProvenanceStore(), engine="compiled")
+        # in-degree) next to the per-rule time.  ``compiled`` is the
+        # same BT driver with the compiled window engine (interned ints
+        # + indexed join plans) doing each window's fixpoint.
+        run.provenance = (ProvenanceStore() if provenance is None
+                          else provenance)
+        if engine == "compiled":
+            tdd.evaluate(instruments=run, engine="compiled")
+        else:
+            tdd.evaluate(instruments=run)
     elif engine in ("verbatim", "interval"):
         # These take an explicit window; borrow the one BT settles on
         # (computed uninstrumented, so the profile is engine-pure).
         horizon = tdd.evaluate().horizon
         if engine == "verbatim":
             from ..temporal.bt import bt_verbatim
-            bt_verbatim(tdd.rules, tdd.database, horizon, stats=stats,
-                        tracer=tracer, metrics=registry)
+            bt_verbatim(tdd.rules, tdd.database, horizon, instruments=run)
         else:
             from ..temporal.interval_engine import interval_fixpoint
             interval_fixpoint(tdd.rules, tdd.database, horizon,
-                              stats=stats, tracer=tracer,
-                              metrics=registry)
+                              instruments=run)
     else:
         if query is None:
             raise EvaluationError(
@@ -134,19 +140,19 @@ def profile_tdd(tdd, program: str, engine: str = "bt",
         if engine == "magic":
             from ..core.magic import magic_ask
             answer = magic_ask(tdd.rules, tdd.database, query,
-                               stats=stats, tracer=tracer,
-                               metrics=registry)
+                               instruments=run)
         else:
             from ..temporal.topdown import topdown_ask
             answer = topdown_ask(tdd.rules, tdd.database, query,
-                                 stats=stats, tracer=tracer,
-                                 metrics=registry)
+                                 instruments=run)
+    registry = run.metrics
     plans = (_plan_records(tdd.rules) if engine == "compiled"
              else None)
     calibration = (_calibration_records(registry)
                    if engine == "compiled" else None)
     return ProfileReport(program=program, engine=engine,
-                         registry=registry, stats=stats, answer=answer,
+                         registry=registry, stats=run.stats,
+                         answer=answer,
                          plans=plans, calibration=calibration)
 
 

@@ -3,8 +3,8 @@
 ``temporal/explain.py`` reconstructs derivations *after the fact* by
 searching the computed model — which re-derives proofs and can go
 exponential on negation-heavy programs.  This module records provenance
-*during* the fixpoint instead: a :class:`ProvenanceStore` threaded as an
-optional ``provenance=None`` parameter through the engines captures, for
+*during* the fixpoint instead: a :class:`ProvenanceStore` handed to the
+engines as the ``provenance`` member of their ``instruments`` captures, for
 every derived fact, its first (and optionally all) support edges
 ``(rule, head, body_facts, round)`` as a compact interned DAG.  On top
 of the store sit
@@ -20,9 +20,9 @@ of the store sit
 * JSON / DOT export and support-count statistics
   (``stats.extra["provenance"]``).
 
-The same zero-cost discipline as :mod:`repro.obs.metrics` applies: every
-engine takes ``provenance=None`` and the disabled path must not allocate
-or call anything — a single ``is not None`` test per *new* fact at most.
+The same zero-cost discipline as :mod:`repro.obs.metrics` applies: with
+no store the engines must not allocate or call anything — a single
+``is not None`` test per *new* fact at most.
 The test suite asserts this the same way it does for the disabled
 metrics path.
 """
@@ -348,10 +348,6 @@ class ProvenanceStore:
             "depth": max(depths.values(), default=0),
             "supports": supports.to_dict(),
         }
-
-    def export_into(self, stats) -> None:
-        """Attach :meth:`stats_dict` to an :class:`EvalStats`."""
-        stats.extra["provenance"] = self.stats_dict()
 
     # -- export ---------------------------------------------------------
 

@@ -5,7 +5,8 @@ period detection; each emit produces one event dictionary handed to the
 sink.  A :class:`Tracer` built over ``sink=None`` is disabled: ``emit``
 returns immediately and no event objects are allocated, so leaving a
 tracer plumbed through but unconfigured is free.  Engines additionally
-treat ``tracer=None`` as "no tracing" and skip the call sites entirely.
+treat an ``Instruments`` without a tracer as "no tracing" and skip the
+event call sites entirely.
 
 The event schema (one JSON object per line) is documented in
 ``docs/INTERNALS.md``; every event carries ``event`` (the type) and

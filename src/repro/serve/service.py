@@ -327,34 +327,34 @@ class QueryService:
             return canonical_window_engine(request.engine)
         return self.engine
 
-    def _instruments(self, trace_id: Union[str, None]) -> tuple:
-        """(metrics, provenance) for one instrumented evaluation.
+    def _instruments(self, trace_id: Union[str, None]):
+        """The instruments of one evaluation: a fresh metrics registry,
+        plus a provenance store sampling every ``derive_sample``-th
+        support edge into the request's trace when there is one.
 
-        Both ``None`` when no collection target is configured — the
-        engines then skip every instrumentation call site, so serving
-        without collection costs exactly what it did before.  The
-        provenance store samples every ``derive_sample``-th support
-        edge into the request's trace (and only when there *is* a
-        request trace to attach them to).
+        ``None`` when no collection target is configured — the engines
+        then skip every instrumentation call site, so serving without
+        collection costs exactly what it did before.
         """
         collect = self.collect
         if collect is None:
-            return None, None
+            return None
+        from ..obs.instruments import Instruments
         from ..obs.metrics import MetricsRegistry
-        metrics = MetricsRegistry()
-        provenance = None
+        instruments = Instruments(metrics=MetricsRegistry())
         sink = collect.derive_sink(trace_id)
         if sink is not None:
             from ..obs.provenance import ProvenanceStore
             from ..obs.trace import Tracer
-            provenance = ProvenanceStore(
+            instruments.provenance = ProvenanceStore(
                 tracer=Tracer(sink), sample=collect.derive_sample)
-        return metrics, provenance
+        return instruments
 
-    def _observe_compute(self, metrics) -> None:
+    def _observe_compute(self, instruments) -> None:
         """Flush one computation's per-rule deltas to the collector."""
-        if metrics is None or self.collect is None:
+        if instruments is None:
             return
+        metrics = instruments.metrics
         records = metrics.to_dict()
         if not records:
             return
@@ -368,14 +368,13 @@ class QueryService:
                  engine: Union[str, None] = None,
                  trace_id: Union[str, None] = None) -> RelationalSpec:
         engine = engine if engine is not None else self.engine
-        metrics, provenance = self._instruments(trace_id)
+        instruments = self._instruments(trace_id)
         try:
             if deadline is None:
                 return compute_specification(tdd.rules, tdd.database,
                                              max_window=self.max_window,
                                              engine=engine,
-                                             metrics=metrics,
-                                             provenance=provenance)
+                                             instruments=instruments)
             start = time.monotonic()
             window_cap = max(64, 4 * (tdd.database.c + 1))
             while True:
@@ -386,8 +385,7 @@ class QueryService:
                 try:
                     return compute_specification(
                         tdd.rules, tdd.database, max_window=window_cap,
-                        engine=engine, metrics=metrics,
-                        provenance=provenance)
+                        engine=engine, instruments=instruments)
                 except EvaluationError:
                     if window_cap >= self.max_window:
                         raise
@@ -395,7 +393,7 @@ class QueryService:
         finally:
             # The registry accumulated across deepening retries; one
             # flush files everything the computation actually did.
-            self._observe_compute(metrics)
+            self._observe_compute(instruments)
 
     def specification(self, tdd: TDD,
                       deadline: Union[float, None] = None,
@@ -497,13 +495,13 @@ class QueryService:
                          ) -> Union[bool, dict]:
         bound = max(self.degraded_window, max_ground_time(query),
                     tdd.database.c)
-        metrics, provenance = self._instruments(trace_id)
+        instruments = self._instruments(trace_id)
         try:
             result = bt_evaluate(tdd.rules, tdd.database, window=bound,
                                  engine=self._request_engine(request),
-                                 metrics=metrics, provenance=provenance)
+                                 instruments=instruments)
         finally:
-            self._observe_compute(metrics)
+            self._observe_compute(instruments)
         if request.kind == "ask":
             return evaluate_on_model(query, result)
         concrete = answers_on_model(query, result, time_bound=bound)

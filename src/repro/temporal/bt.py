@@ -42,8 +42,8 @@ from ..engines import window_fixpoint
 from ..lang.atoms import Atom, Fact
 from ..lang.errors import EvaluationError
 from ..lang.rules import Rule, validate_rules
+from ..obs.instruments import phase
 from ..obs.stats import EvalStats
-from ..obs.timing import phase_timer
 from .database import TemporalDatabase
 from .operator import step
 from .stratified import is_definite, stratified_fixpoint
@@ -54,25 +54,20 @@ from .store import TemporalStore
 
 
 def evaluate_window(rules: Sequence[Rule], database: TemporalStore,
-                    horizon: int, stats=None,
-                    tracer=None, metrics=None,
-                    engine: str = "seminaive",
-                    provenance=None) -> TemporalStore:
+                    horizon: int, instruments=None,
+                    engine: str = "seminaive") -> TemporalStore:
     """The window model: truncated least fixpoint, or — for rules with
     negative literals (the stratified extension) — the truncated perfect
     model computed stratum by stratum.  ``engine`` names the window
     engine (see :mod:`repro.engines`): ``seminaive`` (the generic loop)
-    or ``compiled`` (interned ints + indexed join plans).
-    ``provenance`` records support edges for every derived fact."""
+    or ``compiled`` (interned ints + indexed join plans)."""
     fixpoint_fn = window_fixpoint(engine)
     if is_definite(rules):
         return fixpoint_fn(rules, database, horizon,
-                           stats=stats, tracer=tracer,
-                           metrics=metrics, provenance=provenance)
+                           instruments=instruments)
     return stratified_fixpoint(rules, database, horizon,
-                               stats=stats, tracer=tracer,
-                               metrics=metrics, fixpoint_fn=fixpoint_fn,
-                               provenance=provenance)
+                               instruments=instruments,
+                               fixpoint_fn=fixpoint_fn)
 
 
 @dataclass
@@ -85,7 +80,7 @@ class BTResult:
     g: int
     period: Union[Period, None]
     rounds: int = 0
-    #: Populated when the caller passed an EvalStats accumulator.
+    #: The caller's EvalStats accumulator, when its instruments had one.
     stats: Union["EvalStats", None] = None
 
     def holds(self, fact: Union[Fact, Atom]) -> bool:
@@ -118,8 +113,7 @@ class BTResult:
 
 
 def bt_verbatim(rules: Sequence[Rule], database: TemporalDatabase,
-                window: int, stats: Union[EvalStats, None] = None,
-                tracer=None, metrics=None) -> BTResult:
+                window: int, instruments=None) -> BTResult:
     """Algorithm BT exactly as printed in Figure 1 of the paper.
 
     ``window`` is the paper's ``m``.  Returns the converged ``L`` (no
@@ -135,38 +129,30 @@ def bt_verbatim(rules: Sequence[Rule], database: TemporalDatabase,
     current = database.copy()  # L' := D
     rounds = 0
     size = len(current.truncate(window))
-    if stats is not None:
-        stats.engine = "bt_verbatim"
-        stats.horizon = window
-        stats.extra["initial_facts"] = size
-    if tracer is not None:
-        tracer.emit("eval_start", engine="bt_verbatim", horizon=window,
-                    rules=len(proper_rules), initial_facts=size)
+    if instruments is not None:
+        instruments.start("bt_verbatim", window, rules=len(proper_rules),
+                          initial_facts=size)
     while True:
         rounds += 1
         truncated = current.truncate(window)           # L := L'(0...m)
         nxt = step(proper_rules, truncated, database,  # L' := T(L)
-                   metrics=metrics, window=window)
+                   instruments=instruments, window=window)
         same_segment = (truncated.segment(0, window)
                         == nxt.segment(0, window))
         same_nt = truncated.nt == nxt.nt
-        if stats is not None or tracer is not None:
+        if instruments is not None:
             new_size = len(nxt.truncate(window))
-            derived = max(new_size - size, 0)
+            instruments.round(rounds, max(new_size - size, 0),
+                              store=new_size)
             size = max(new_size, size)
-            if stats is not None:
-                stats.record_round(derived=derived)
-            if tracer is not None:
-                tracer.emit("round", round=rounds, derived=derived,
-                            store=new_size)
         if same_segment and same_nt:
-            if tracer is not None:
-                tracer.emit("eval_end", facts=len(truncated))
-            if metrics is not None and stats is not None:
-                metrics.export_into(stats)
-            return BTResult(store=truncated, horizon=window,
-                            c=database.c, g=1, period=None,
-                            rounds=rounds, stats=stats)
+            result = BTResult(store=truncated, horizon=window,
+                              c=database.c, g=1, period=None,
+                              rounds=rounds)
+            if instruments is not None:
+                instruments.end(facts=len(truncated))
+                result.stats = instruments.stats
+            return result
         current = nxt
 
 
@@ -175,20 +161,38 @@ def _initial_window(c: int, g: int, query_depth: int) -> int:
 
 
 def _bt_result(store: TemporalStore, horizon: int, c: int, g: int,
-               period: Union[Period, None],
-               stats: Union[EvalStats, None], tracer) -> BTResult:
+               period: Union[Period, None], instruments) -> BTResult:
     """Finalize a BT run: fold the outcome into the observability layer."""
+    result = BTResult(store=store, horizon=horizon, c=c, g=g,
+                      period=period)
+    if instruments is None:
+        return result
+    stats = result.stats = instruments.stats
     if stats is not None:
         stats.horizon = horizon
         if period is not None:
             stats.period = (period.b, period.p)
         if stats.engine in ("", "seminaive"):
             stats.engine = "bt"
-    if tracer is not None and period is not None:
-        tracer.emit("period", b=period.b, p=period.p,
-                    certified=period.certified, horizon=horizon)
-    return BTResult(store=store, horizon=horizon, c=c, g=g,
-                    period=period, stats=stats)
+    if period is not None and instruments.tracer is not None:
+        instruments.tracer.emit("period", b=period.b, p=period.p,
+                                certified=period.certified,
+                                horizon=horizon)
+    return result
+
+
+def _window_pass(rules, database, m: int, trusted: int, g: int,
+                 evidence: int, instruments, engine: str):
+    """One BT pass: the window model for ``m``, its states up to
+    ``trusted``, and the minimal period found in them (or None)."""
+    with phase(instruments, "evaluate"):
+        store = evaluate_window(rules, database, m,
+                                instruments=instruments, engine=engine)
+    with phase(instruments, "period_detection"):
+        states = store.states(0, trusted)
+        found = find_minimal_period(states, floor=0, g=g,
+                                    evidence=evidence)
+    return store, states, found
 
 
 def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
@@ -197,10 +201,8 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
                 range_bound: Union[int, None] = None,
                 max_window: int = 1 << 20,
                 evidence: int = 2,
-                stats: Union[EvalStats, None] = None,
-                tracer=None, metrics=None,
-                engine: str = "seminaive",
-                provenance=None) -> BTResult:
+                instruments=None,
+                engine: str = "seminaive") -> BTResult:
     """Semi-naive BT with period detection.
 
     ``engine`` selects the window engine each (re-)evaluation runs on
@@ -228,15 +230,8 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
 
     if window is not None or range_bound is not None:
         m = window if window is not None else max(c, query_depth) + range_bound
-        with phase_timer(stats, "evaluate", tracer):
-            store = evaluate_window(rules, database, m,
-                                    stats=stats, tracer=tracer,
-                                    metrics=metrics, engine=engine,
-                                    provenance=provenance)
-        with phase_timer(stats, "period_detection", tracer):
-            states = store.states(0, m)
-            found = find_minimal_period(states, floor=0, g=g,
-                                        evidence=evidence)
+        store, states, found = _window_pass(rules, database, m, m, g,
+                                            evidence, instruments, engine)
         period = None
         if found is not None:
             b, p = found
@@ -253,30 +248,25 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
                 b, p = recurred
                 period = Period(b, p, certified=True,
                                 verified_horizon=m)
-        return _bt_result(store, m, c, g, period, stats, tracer)
+        return _bt_result(store, m, c, g, period, instruments)
 
     m = _initial_window(c, g, query_depth)
     # (candidate (b, p), the trusted state sequence it was found in).
     previous: Union[tuple[tuple[int, int], list], None] = None
+    provenance = instruments.provenance if instruments is not None \
+        else None
     while m <= max_window:
         if provenance is not None:
             # Each deepening pass re-derives the whole window; stale
             # edges from the narrower run would reference facts the
             # wider model may support differently.
             provenance.reset()
-        with phase_timer(stats, "evaluate", tracer):
-            store = evaluate_window(rules, database, m,
-                                    stats=stats, tracer=tracer,
-                                    metrics=metrics, engine=engine,
-                                    provenance=provenance)
         # For non-forward rulesets the right edge of the window is
         # under-derived (facts there lack support from beyond the
         # window), so periods are detected on a trusted sub-window only.
         trusted = m if lookback is not None else max((3 * m) // 4, 1)
-        with phase_timer(stats, "period_detection", tracer):
-            states = store.states(0, trusted)
-            found = find_minimal_period(states, floor=0, g=g,
-                                        evidence=evidence)
+        store, states, found = _window_pass(rules, database, m, trusted, g,
+                                            evidence, instruments, engine)
         if found is not None:
             b, p = found
             if lookback is not None and max(b, c + 1) + p + g - 1 <= m:
@@ -286,7 +276,7 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
                 # database horizon certifies the period for the infinite
                 # least model.
                 period = Period(b, p, certified=True, verified_horizon=m)
-                return _bt_result(store, m, c, g, period, stats, tracer)
+                return _bt_result(store, m, c, g, period, instruments)
             if (previous is not None and previous[0] == found
                     and states[:len(previous[1])] == previous[1]):
                 # Same minimal period at two consecutive horizons (the
@@ -297,7 +287,7 @@ def bt_evaluate(rules: Sequence[Rule], database: TemporalDatabase,
                 # region so direct lookups never see the polluted edge.
                 period = Period(b, p, certified=False, verified_horizon=m)
                 return _bt_result(store.truncate(trusted), trusted,
-                                  c, g, period, stats, tracer)
+                                  c, g, period, instruments)
             previous = (found, states)
         else:
             previous = None

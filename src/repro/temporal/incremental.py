@@ -50,7 +50,7 @@ class IncrementalModel:
     def __init__(self, rules: Sequence[Rule],
                  database: Union[TemporalDatabase, Iterable[Fact]] = (),
                  max_window: int = 1 << 20,
-                 stats=None, tracer=None, metrics=None):
+                 instruments=None):
         validate_rules(rules)
         self.rules = tuple(r for r in rules if not r.is_fact)
         if not isinstance(database, TemporalDatabase):
@@ -61,15 +61,14 @@ class IncrementalModel:
         self._g = max((r.temporal_depth for r in self.rules), default=1)
         self._g = max(self._g, 1)
         self._lookback = forward_lookback(self.rules)
-        self.eval_stats = stats
-        self.tracer = tracer
-        self.metrics = metrics
+        self.instruments = instruments
+        self.tracer = instruments.tracer if instruments is not None \
+            else None
         self._result = bt_evaluate(self.rules, database,
                                    max_window=max_window,
-                                   stats=stats, tracer=tracer,
-                                   metrics=metrics)
-        if stats is not None:
-            stats.engine = "incremental"
+                                   instruments=instruments)
+        if instruments is not None:
+            instruments.note("incremental")
         self.stats = {"inserts": 0, "deletes": 0, "incremental": 0,
                       "recomputed": 0, "facts_added": 0}
 
@@ -115,9 +114,7 @@ class IncrementalModel:
             self.stats["recomputed"] += 1
             self._result = bt_evaluate(self.rules, self.database,
                                        max_window=self.max_window,
-                                       stats=self.eval_stats,
-                                       tracer=self.tracer,
-                                       metrics=self.metrics)
+                                       instruments=self.instruments)
             self._note_paths()
             return
 
@@ -129,12 +126,10 @@ class IncrementalModel:
                 delta.add_fact(fact)
         added = continue_fixpoint(self.rules, store, delta,
                                   self._result.horizon,
-                                  stats=self.eval_stats,
-                                  tracer=self.tracer,
-                                  metrics=self.metrics)
+                                  instruments=self.instruments)
         self.stats["facts_added"] += added + len(delta)
-        self._note_paths()
         self._refresh_period()
+        self._note_paths()
 
     def delete(self, facts: Union[Fact, Iterable[Fact]]) -> None:
         """Delete database facts and bring the model up to date (DRed).
@@ -158,9 +153,7 @@ class IncrementalModel:
             self.stats["recomputed"] += 1
             self._result = bt_evaluate(self.rules, self.database,
                                        max_window=self.max_window,
-                                       stats=self.eval_stats,
-                                       tracer=self.tracer,
-                                       metrics=self.metrics)
+                                       instruments=self.instruments)
             self._note_paths()
             return
 
@@ -212,16 +205,16 @@ class IncrementalModel:
                     if store.add(pred, time, args):
                         delta.add(pred, time, args)
         continue_fixpoint(self.rules, store, delta, horizon,
-                          stats=self.eval_stats, tracer=self.tracer,
-                          metrics=self.metrics)
-        self._note_paths()
+                          instruments=self.instruments)
         self._refresh_period()
+        self._note_paths()
 
     def _note_paths(self) -> None:
-        """Mirror the per-operation counters into the EvalStats extras."""
-        if self.eval_stats is not None:
-            self.eval_stats.engine = "incremental"
-            self.eval_stats.extra.update(self.stats)
+        """Mirror the per-operation counters into the EvalStats extras,
+        and re-publish the per-rule records the continuation added to."""
+        if self.instruments is not None:
+            self.instruments.export()
+            self.instruments.note("incremental", **self.stats)
 
     def _refresh_period(self) -> None:
         """Re-detect the period; extend the window from the frontier
@@ -263,6 +256,5 @@ class IncrementalModel:
         for fact in store.nt.facts():
             delta.add_fact(fact)
         continue_fixpoint(self.rules, store, delta, new_horizon,
-                          stats=self.eval_stats, tracer=self.tracer,
-                          metrics=self.metrics)
+                          instruments=self.instruments)
         self._result.horizon = new_horizon

@@ -22,7 +22,6 @@ backward).  Results equal the slice engine's window fixpoint exactly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Iterable, Iterator, Sequence, Union
 
 from ..datalog.facts import ArgTuple, FactStore
@@ -245,8 +244,7 @@ def _bound_args(atom: Atom, binding: dict) -> ArgTuple:
 
 
 def interval_fixpoint(rules: Sequence[Rule], database: TemporalDatabase,
-                      horizon: int, stats=None,
-                      tracer=None, metrics=None) -> TemporalStore:
+                      horizon: int, instruments=None) -> TemporalStore:
     """The window least fixpoint, computed with interval algebra.
 
     Equals ``fixpoint(rules, database, horizon)`` exactly; use when the
@@ -255,13 +253,10 @@ def interval_fixpoint(rules: Sequence[Rule], database: TemporalDatabase,
     validate_rules(rules)
     proper = [r for r in rules if not r.is_fact]
     _check_fragment(proper)
-    if stats is not None:
-        stats.engine = "interval"
-        stats.horizon = (horizon if stats.horizon is None
-                         else max(stats.horizon, horizon))
-    if tracer is not None:
-        tracer.emit("eval_start", engine="interval", horizon=horizon,
-                    rules=len(proper))
+    metrics = None
+    if instruments is not None:
+        metrics = instruments.metrics
+        instruments.start("interval", horizon, rules=len(proper))
 
     store = IntervalStore()
     by_tuple: dict[tuple[str, ArgTuple], list[int]] = {}
@@ -289,52 +284,45 @@ def interval_fixpoint(rules: Sequence[Rule], database: TemporalDatabase,
     while changed:
         round_no += 1
         changed = False
-        merges = 0
+        merges = probes = 0
         for rule, rm in plans:
             if rm is not None:
-                rule_t0 = perf_counter()
                 rm.begin_round()
             # Saturate each rule before moving on: a self-recursive
             # rule (the common shape) then converges inside one outer
             # pass instead of driving O(horizon/offset) global passes.
             while True:
-                grew = _fire_rule(rule, store, horizon, stats=stats,
-                                  rm=rm)
+                grew, fired = _fire_rule(rule, store, horizon, rm=rm)
                 merges += grew
+                probes += fired
                 if not grew:
                     break
                 changed = True
             if rm is not None:
-                rm.seconds += perf_counter() - rule_t0
                 rm.end_round()
-        if stats is not None:
-            stats.record_round(derived=merges)
-        if tracer is not None:
-            tracer.emit("round", round=round_no, merges=merges)
-    if tracer is not None:
-        tracer.emit("eval_end")
-    if metrics is not None and stats is not None:
-        metrics.export_into(stats)
+        if instruments is not None:
+            instruments.round(round_no, merges, probes=probes,
+                              event={"merges": merges})
+    if instruments is not None:
+        instruments.end()
     return store.to_store()
 
 
 def _fire_rule(rule: Rule, store: IntervalStore, horizon: int,
-               stats=None, rm=None) -> int:
+               rm=None) -> tuple[int, int]:
     """Fire one rule over all data bindings; returns the number of
-    tuple-interval merges that grew the store (0 = fixpoint).
+    tuple-interval merges that grew the store (0 = fixpoint) and the
+    number of data bindings probed.
 
     ``rm`` is the rule's :class:`~repro.obs.metrics.RuleMetrics` record;
     a firing here is a binding whose head interval set is non-empty, and
     one merge that grows the store counts as one new fact (the engine's
-    unit of derivation, mirroring ``record_round(derived=merges)``).
+    unit of derivation, the round's ``derived`` count).
     """
     head = rule.head
-    grew = 0
+    grew = probes = 0
     for binding in _data_bindings(rule.body, store, {}):
-        if stats is not None:
-            stats.join_probes += 1
-        if rm is not None:
-            rm.probes += 1
+        probes += 1
         times: Union[IntervalSet, None] = None
         dead = False
         for atom in rule.body:
@@ -381,12 +369,6 @@ def _fire_rule(rule: Rule, store: IntervalStore, horizon: int,
                 rm.new_facts += 1
         elif rm is not None and head_times:
             rm.duplicates += 1
-    return grew
-
-
-def interval_bt(rules: Sequence[Rule], database: TemporalDatabase,
-                horizon: int, stats=None, tracer=None,
-                metrics=None) -> TemporalStore:
-    """Alias of :func:`interval_fixpoint` (naming symmetry with bt)."""
-    return interval_fixpoint(rules, database, horizon, stats=stats,
-                             tracer=tracer, metrics=metrics)
+    if rm is not None:
+        rm.probes += probes
+    return grew, probes

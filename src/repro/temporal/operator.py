@@ -20,7 +20,6 @@ through them).  The equivalence of the two paths is property-tested.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterator, Sequence, Union
 
 from ..datalog.engine import plan_order
@@ -159,7 +158,7 @@ def negatives_absent(rule: Rule, binding: Binding,
 
 def step(rules: Sequence[Rule], store: TemporalStore,
          database: Union[TemporalStore, None] = None,
-         metrics=None,
+         instruments=None,
          window: Union[int, None] = None) -> TemporalStore:
     """One application of ``T_{Z∧D}``: rule consequences of ``store``,
     unioned with the database ``D`` (per the paper's definition).
@@ -168,11 +167,13 @@ def step(rules: Sequence[Rule], store: TemporalStore,
     input ``store`` — the standard non-monotone immediate-consequence
     operator; iterate it only under a stratified schedule.
 
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
-    attributes the round's work to individual rules; ``window`` tells
-    the attribution which head times the caller will truncate away, so a
-    "new fact" credit matches what actually survives the round.
+    The ``metrics`` registry of ``instruments`` attributes the round's
+    work to individual rules (accounting the round itself is the
+    caller's part); ``window`` tells the attribution which head times
+    the caller will truncate away, so a "new fact" credit matches what
+    actually survives the round.
     """
+    metrics = instruments.metrics if instruments is not None else None
     out = TemporalStore()
     if database is not None:
         for fact in database.facts():
@@ -183,7 +184,6 @@ def step(rules: Sequence[Rule], store: TemporalStore,
             continue
         rm = metrics.rule(rule) if metrics is not None else None
         if rm is not None:
-            rule_t0 = perf_counter()
             rm.begin_round()
         order = plan_order(rule.body)
         stores = [store] * len(order)
@@ -206,16 +206,45 @@ def step(rules: Sequence[Rule], store: TemporalStore,
             else:
                 rm.duplicates += 1
         if rm is not None:
-            rm.seconds += perf_counter() - rule_t0
             rm.end_round()
     return out
+
+
+def check_group(rules: Sequence[Rule]) -> None:
+    """Reject a fixpoint group that both negates and derives a predicate
+    (the stratified scheduler never builds one)."""
+    clash = ({a.pred for r in rules for a in r.negative}
+             & {r.head.pred for r in rules})
+    if clash:
+        from ..lang.errors import EvaluationError
+        raise EvaluationError(
+            f"predicates {sorted(clash)} are both negated and derived in "
+            "one fixpoint group; use stratified_fixpoint"
+        )
+
+
+def add_facts(rules: Sequence[Rule], store, horizon: int,
+              instruments=None, delta=None) -> None:
+    """Add the window's ground facts among ``rules`` to ``store`` (new
+    ones also to ``delta``, and as premise-free support edges)."""
+    provenance = instruments.provenance if instruments is not None \
+        else None
+    for rule in rules:
+        if rule.is_fact:
+            fact = rule.head.to_fact()
+            if fact.time is not None and fact.time > horizon:
+                continue
+            if store.add_fact(fact):
+                if delta is not None:
+                    delta.add_fact(fact)
+                if provenance is not None:
+                    provenance.record(rule, fact, ())
 
 
 def fixpoint(rules: Sequence[Rule], database: TemporalStore,
              horizon: int,
              max_facts: Union[int, None] = None,
-             stats=None, tracer=None, metrics=None,
-             provenance=None) -> TemporalStore:
+             instruments=None) -> TemporalStore:
     """Least fixpoint of the window-truncated operator, semi-naively.
 
     Computes the largest set ``L`` of facts with timepoints in
@@ -226,55 +255,28 @@ def fixpoint(rules: Sequence[Rule], database: TemporalStore,
     Rules may carry negative literals only if the negated predicates are
     not derived by this rule group (the stratified scheduler arranges
     that); violating the precondition raises :class:`EvaluationError`.
+    ``instruments`` (a :class:`~repro.obs.instruments.Instruments`, or
+    None) receives the run's accounts.
     """
-    negated = {a.pred for r in rules for a in r.negative}
-    derived_here = {r.head.pred for r in rules}
-    clash = negated & derived_here
-    if clash:
-        from ..lang.errors import EvaluationError
-        raise EvaluationError(
-            f"predicates {sorted(clash)} are both negated and derived in "
-            "one fixpoint group; use stratified_fixpoint"
-        )
+    check_group(rules)
     store = database.truncate(horizon)
     delta = store.copy()
-    for rule in rules:
-        if rule.is_fact:
-            fact = rule.head.to_fact()
-            if fact.time is not None and fact.time > horizon:
-                continue
-            if store.add_fact(fact):
-                delta.add_fact(fact)
-                if provenance is not None:
-                    provenance.record(rule, fact, ())
-
-    if stats is not None:
-        if not stats.engine:
-            stats.engine = "seminaive"
-        stats.horizon = (horizon if stats.horizon is None
-                         else max(stats.horizon, horizon))
-        stats.extra["initial_facts"] = (
-            stats.extra.get("initial_facts", 0) + len(store))
-    if tracer is not None:
-        tracer.emit("eval_start", engine=stats.engine if stats else
-                    "seminaive", horizon=horizon,
-                    rules=sum(1 for r in rules if not r.is_fact),
-                    initial_facts=len(store))
+    add_facts(rules, store, horizon, instruments, delta)
+    if instruments is not None:
+        instruments.start("seminaive", horizon,
+                          rules=sum(1 for r in rules if not r.is_fact),
+                          initial_facts=len(store))
     continue_fixpoint(rules, store, delta, horizon,
-                      max_facts=max_facts, stats=stats, tracer=tracer,
-                      metrics=metrics, provenance=provenance)
-    if tracer is not None:
-        tracer.emit("eval_end", facts=len(store))
-    if provenance is not None and stats is not None:
-        provenance.export_into(stats)
+                      max_facts=max_facts, instruments=instruments)
+    if instruments is not None:
+        instruments.end(facts=len(store))
     return store
 
 
 def continue_fixpoint(rules: Sequence[Rule], store: TemporalStore,
                       delta: TemporalStore, horizon: int,
                       max_facts: Union[int, None] = None,
-                      stats=None, tracer=None, metrics=None,
-                      provenance=None) -> int:
+                      instruments=None) -> int:
     """Drive the semi-naive loop from an initial ``delta``, in place.
 
     Every derivation producible from ``store`` that uses at least one
@@ -282,12 +284,18 @@ def continue_fixpoint(rules: Sequence[Rule], store: TemporalStore,
     ``horizon`` are discarded.  This is both the tail of
     :func:`fixpoint` and the engine of incremental insertion
     (:mod:`repro.temporal.incremental`).  Returns the number of facts
-    added.
+    added.  Each round is accounted to ``instruments``; opening and
+    closing the evaluation is the caller's part.
 
     ``max_facts`` is a resource guard: when the store would exceed it,
     :class:`EvaluationError` is raised rather than exhausting memory —
     useful for untrusted programs whose slices blow up combinatorially.
     """
+    metrics = provenance = stats = None
+    if instruments is not None:
+        metrics = instruments.metrics
+        provenance = instruments.provenance
+        stats = instruments.stats
     plans: list[tuple] = []
     for rule in rules:
         if rule.is_fact:
@@ -310,7 +318,6 @@ def continue_fixpoint(rules: Sequence[Rule], store: TemporalStore,
         delta_preds.update(delta.nt.predicates())
         for rule, leads, rm in plans:
             if rm is not None:
-                rule_t0 = perf_counter()
                 rm.begin_round()
             for i, order in leads:
                 if rule.body[i].pred not in delta_preds:
@@ -344,7 +351,6 @@ def continue_fixpoint(rules: Sequence[Rule], store: TemporalStore,
                     elif rm is not None:
                         rm.duplicates += 1
             if rm is not None:
-                rm.seconds += perf_counter() - rule_t0
                 rm.end_round()
         if max_facts is not None and len(store) > max_facts:
             from ..lang.errors import EvaluationError
@@ -352,19 +358,10 @@ def continue_fixpoint(rules: Sequence[Rule], store: TemporalStore,
                 f"model exceeded max_facts={max_facts} within the "
                 f"window (currently {len(store)} facts)"
             )
-        if stats is not None:
-            stats.record_round(derived=len(new_delta), delta=len(delta))
-            stats.join_probes += probes
-        if tracer is not None:
-            tracer.emit("round", round=round_no,
-                        delta=len(delta), derived=len(new_delta),
-                        probes=probes, store=len(store))
-            for fact in new_delta.facts():
-                tracer.emit("fact", pred=fact.pred, time=fact.time,
-                            args=list(fact.args))
+        if instruments is not None:
+            instruments.round(round_no, len(new_delta), len(delta),
+                              probes, len(store), new_delta.facts())
         delta = new_delta
     if stats is not None:
         store.stats = prev_stats
-        if metrics is not None:
-            metrics.export_into(stats)
     return added

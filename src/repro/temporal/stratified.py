@@ -31,7 +31,7 @@ from typing import Sequence
 from ..datalog.depgraph import strata_of_rules
 from ..lang.errors import EvaluationError
 from ..lang.rules import Rule
-from .operator import fixpoint
+from .operator import add_facts, fixpoint
 from .store import TemporalStore
 
 
@@ -41,10 +41,8 @@ def is_definite(rules: Sequence[Rule]) -> bool:
 
 
 def stratified_fixpoint(rules: Sequence[Rule], database: TemporalStore,
-                        horizon: int, stats=None,
-                        tracer=None, metrics=None,
-                        fixpoint_fn=None,
-                        provenance=None) -> TemporalStore:
+                        horizon: int, instruments=None,
+                        fixpoint_fn=None) -> TemporalStore:
     """The perfect model of a stratified program, within a window.
 
     Equivalent to :func:`repro.temporal.operator.fixpoint` on definite
@@ -54,28 +52,19 @@ def stratified_fixpoint(rules: Sequence[Rule], database: TemporalStore,
     :func:`repro.datalog.compiled.compiled_fixpoint`); the default is
     the generic semi-naive loop.
     """
-    proper = [r for r in rules if not r.is_fact]
-    facts = [r for r in rules if r.is_fact]
     try:
-        groups = strata_of_rules(proper)
+        groups = strata_of_rules([r for r in rules if not r.is_fact])
     except ValueError as exc:
         raise EvaluationError(str(exc)) from exc
 
     store = database.truncate(horizon)
-    for fact_rule in facts:
-        fact = fact_rule.head.to_fact()
-        if fact.time is None or fact.time <= horizon:
-            if store.add_fact(fact) and provenance is not None:
-                provenance.record(fact_rule, fact, ())
-    if stats is not None and len(groups) > 1:
-        stats.engine = "stratified"
-        stats.extra["strata"] = len(groups)
+    add_facts(rules, store, horizon, instruments)
+    if instruments is not None and len(groups) > 1:
+        instruments.note("stratified", strata=len(groups))
     # Each stratum sees lower strata's facts as extensional input, but
     # the shared provenance store keeps their support edges, so proofs
     # cross stratum boundaries transparently.
     run = fixpoint if fixpoint_fn is None else fixpoint_fn
     for group in groups:
-        store = run(group, store, horizon, stats=stats,
-                    tracer=tracer, metrics=metrics,
-                    provenance=provenance)
+        store = run(group, store, horizon, instruments=instruments)
     return store

@@ -82,7 +82,7 @@ class TopDownEngine:
 
     def __init__(self, rules: Sequence[Rule],
                  database: TemporalDatabase, horizon: int,
-                 stats=None, tracer=None, metrics=None):
+                 instruments=None):
         validate_rules(rules)
         proper = [r for r in rules if not r.is_fact]
         if any(not r.is_definite for r in proper):
@@ -99,12 +99,13 @@ class TopDownEngine:
             self._by_head.setdefault(rule.head.pred, []).append(rule)
         self._tables: dict[CallPattern, _Table] = {}
         self.stats = {"subgoals": 0, "sweeps": 0, "answers": 0}
-        self.eval_stats = stats
-        self.tracer = tracer
-        self.metrics = metrics
-        if stats is not None:
-            stats.engine = "topdown"
-            stats.horizon = horizon
+        self.instruments = instruments
+        self.tracer = self.metrics = None
+        if instruments is not None:
+            self.tracer = instruments.tracer
+            self.metrics = instruments.metrics
+            instruments.start("topdown", horizon)
+        self._probes = 0  # answers matched against body atoms
 
     # -- public API -----------------------------------------------------
 
@@ -183,33 +184,32 @@ class TopDownEngine:
         while True:
             self.stats["sweeps"] += 1
             answers_before = self.stats["answers"]
+            probes_before = self._probes
             tables_before = len(self._tables)
+            # Rule time accrues per solve; the histogram bins sweeps.
             if handles is not None:
-                for rm in handles:
-                    rm.begin_round()
+                bases = [rm.new_facts for rm in handles]
             changed = False
             for pattern in list(self._tables):
                 if self._solve(pattern):
                     changed = True
             if handles is not None:
-                for rm in handles:
-                    rm.end_round()
+                for rm, base in zip(handles, bases):
+                    rm.per_round.record(rm.new_facts - base)
             derived = self.stats["answers"] - answers_before
-            if self.eval_stats is not None:
-                self.eval_stats.record_round(derived=derived)
-                self.eval_stats.extra["subgoals"] = \
-                    self.stats["subgoals"]
-            if self.tracer is not None:
-                self.tracer.emit("round",
-                                 round=self.stats["sweeps"],
-                                 derived=derived,
-                                 subgoals=len(self._tables))
+            instruments = self.instruments
+            if instruments is not None:
+                instruments.round(
+                    self.stats["sweeps"], derived,
+                    probes=self._probes - probes_before,
+                    event={"derived": derived,
+                           "subgoals": len(self._tables)})
+                instruments.note(subgoals=self.stats["subgoals"])
             # A sweep that registered new subgoal tables must be
             # followed by another even if no answer was produced yet.
             if not changed and len(self._tables) == tables_before:
-                if self.metrics is not None and \
-                        self.eval_stats is not None:
-                    self.metrics.export_into(self.eval_stats)
+                if instruments is not None:
+                    instruments.export()
                 return
 
     def _solve(self, pattern: CallPattern) -> bool:
@@ -283,10 +283,8 @@ class TopDownEngine:
             return
         sub_table = self._register(sub_pattern)
         from ..lang.subst import match_atom
-        stats = self.eval_stats
         for answer in list(sub_table.answers):
-            if stats is not None:
-                stats.join_probes += 1
+            self._probes += 1
             if rm is not None:
                 rm.probes += 1
             extended = match_atom(atom, answer, binding)
@@ -303,7 +301,7 @@ class TopDownEngine:
 def topdown_ask(rules: Sequence[Rule], database: TemporalDatabase,
                 goal: Union[Fact, Atom],
                 horizon: Union[int, None] = None,
-                stats=None, tracer=None, metrics=None) -> bool:
+                instruments=None) -> bool:
     """One-shot goal-directed ground query via tabled top-down
     resolution.  ``horizon`` defaults to the goal's timepoint plus one
     rule depth (exact for forward programs, whose derivations never
@@ -314,6 +312,6 @@ def topdown_ask(rules: Sequence[Rule], database: TemporalDatabase,
         g = max((r.temporal_depth for r in rules), default=1)
         query_depth = goal.time if goal.time is not None else 0
         horizon = max(query_depth, database.c) + g
-    engine = TopDownEngine(rules, database, horizon, stats=stats,
-                           tracer=tracer, metrics=metrics)
+    engine = TopDownEngine(rules, database, horizon,
+                           instruments=instruments)
     return engine.ask(goal)

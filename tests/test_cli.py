@@ -494,6 +494,23 @@ class TestProfileCommand:
         total = sum(r["new_facts"] for r in report["rules"])
         assert total == report["stats"]["facts_derived"] > 0
 
+    @pytest.mark.parametrize("engine, name", [
+        ("bt", "bt"), ("compiled", "compiled"),
+        ("verbatim", "bt_verbatim"), ("topdown", "topdown")])
+    def test_stats_block_reports_the_profiled_run(self, travel_file,
+                                                  engine, name):
+        """`profile --stats` prints the profiled run's accounts, not an
+        empty block."""
+        argv = ["profile", travel_file, "--engine", engine, "--stats"]
+        if engine == "topdown":
+            argv += ["--query", "plane(8, hunter)"]
+        code, output = run_cli(argv)
+        assert code == 0
+        block = output.split("-- eval stats --")[1]
+        assert f"engine:            {name}\n" in block
+        rounds = int(block.split("rounds:")[1].split()[0])
+        assert rounds > 0
+
     def test_compiled_and_bt_profiles_agree_on_derived(self, even_file):
         _, bt_out = run_cli(["profile", even_file, "--format", "json"])
         _, comp_out = run_cli(["profile", even_file,

@@ -14,6 +14,7 @@ from repro.lang import parse_program
 from repro.obs.collector import (CostCalibration, RuleWindowAggregator,
                                  TraceStore, calibration_rows,
                                  render_trace_tree)
+from repro.obs.instruments import Instruments
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.collect import (Collector, CollectorClient, _keep_span,
                                  span_event)
@@ -179,7 +180,7 @@ def test_calibration_rows_from_a_real_run(path_program):
     registry = MetricsRegistry()
     compute_specification(path_program.rules,
                           TemporalDatabase(path_program.facts),
-                          metrics=registry)
+                          instruments=Instruments(metrics=registry))
     rows = calibration_rows(registry)
     assert rows, "recursive rules must yield calibration rows"
     for row in rows:

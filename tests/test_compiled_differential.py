@@ -32,7 +32,7 @@ from repro.core.magic import magic_ask
 from repro.core.spec import compute_specification
 from repro.datalog.compiled import compiled_fixpoint
 from repro.lang.sorts import parse_program
-from repro.obs import EvalStats, MetricsRegistry
+from repro.obs import EvalStats, Instruments, MetricsRegistry
 from repro.temporal import (TemporalDatabase, TopDownEngine, bt_evaluate,
                             bt_verbatim, fixpoint)
 from repro.temporal.bt import evaluate_window
@@ -46,10 +46,12 @@ from test_differential import (AUX_SETTINGS, DIFF_SETTINGS, HORIZON,
 def _run_pair(rules, db, horizon=HORIZON):
     """Reference + compiled evaluation; returns both stores and stats."""
     ref_stats = EvalStats()
-    reference = fixpoint(rules, db, horizon, stats=ref_stats)
+    reference = fixpoint(rules, db, horizon,
+                         instruments=Instruments(stats=ref_stats))
     comp_stats, registry = EvalStats(), MetricsRegistry()
-    compiled = compiled_fixpoint(rules, db, horizon, stats=comp_stats,
-                                 metrics=registry)
+    compiled = compiled_fixpoint(rules, db, horizon,
+                                 instruments=Instruments(stats=comp_stats,
+                                                         metrics=registry))
     assert compiled == reference
     assert comp_stats.facts_derived == ref_stats.facts_derived
     assert comp_stats.facts_per_round == ref_stats.facts_per_round
@@ -110,8 +112,9 @@ class TestCompiledAgreement:
         rules, facts = program
         stats, registry = EvalStats(), MetricsRegistry()
         store = compiled_fixpoint(rules, TemporalDatabase(facts),
-                                  HORIZON, stats=stats,
-                                  metrics=registry)
+                                  HORIZON,
+                                  instruments=Instruments(
+                                      stats=stats, metrics=registry))
         assert stats.engine == "compiled"
         assert stats.horizon == HORIZON
         assert sum(stats.facts_per_round) == stats.facts_derived
@@ -255,9 +258,11 @@ class TestStratifiedAndSpec:
         db = TemporalDatabase(program.facts)
         sa, sb = EvalStats(), EvalStats()
         ref = evaluate_window(program.rules, db, 12,
-                              engine="seminaive", stats=sa)
+                              engine="seminaive",
+                              instruments=Instruments(stats=sa))
         comp = evaluate_window(program.rules, db, 12,
-                               engine="compiled", stats=sb)
+                               engine="compiled",
+                               instruments=Instruments(stats=sb))
         assert set(comp.facts()) == set(ref.facts())
         assert sb.facts_derived == sa.facts_derived
         assert sb.extra.get("strata") == sa.extra.get("strata")

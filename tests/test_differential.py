@@ -23,7 +23,7 @@ from repro.datalog import naive_evaluate, seminaive_evaluate
 from repro.lang.atoms import Atom, Fact
 from repro.lang.rules import Rule
 from repro.lang.terms import Const, TimeTerm, Var
-from repro.obs import EvalStats, MetricsRegistry
+from repro.obs import EvalStats, Instruments, MetricsRegistry
 from repro.temporal import (TemporalDatabase, TopDownEngine, bt_verbatim,
                             fixpoint)
 from repro.temporal.incremental import IncrementalModel
@@ -123,25 +123,28 @@ class TestEngineAgreement:
         db = TemporalDatabase(facts)
 
         ref_stats = EvalStats()
-        reference = fixpoint(rules, db, HORIZON, stats=ref_stats)
+        reference = fixpoint(rules, db, HORIZON,
+                             instruments=Instruments(stats=ref_stats))
         ref_window = reference.segment(0, HORIZON)
         ref_window |= set(reference.nt.facts())
 
         # BT's verbatim naive loop: same window model.
-        verbatim = bt_verbatim(rules, db, HORIZON, stats=EvalStats())
+        verbatim = bt_verbatim(rules, db, HORIZON,
+                               instruments=Instruments(stats=EvalStats()))
         verb_window = verbatim.store.segment(0, HORIZON)
         verb_window |= set(verbatim.store.nt.facts())
         assert verb_window == ref_window
 
         # Interval-coalesced evaluation: exact store equality.
-        interval = interval_fixpoint(rules, db, HORIZON,
-                                     stats=EvalStats())
+        interval = interval_fixpoint(
+            rules, db, HORIZON, instruments=Instruments(stats=EvalStats()))
         assert interval.segment(0, HORIZON) == \
             reference.segment(0, HORIZON)
         assert interval.nt == reference.nt
 
         # Tabled top-down: per-predicate open queries over the window.
-        engine = TopDownEngine(rules, db, HORIZON, stats=EvalStats())
+        engine = TopDownEngine(rules, db, HORIZON,
+                               instruments=Instruments(stats=EvalStats()))
         for pred, arity in TEMPORAL_PREDS.items():
             answers = engine.query(_open_atom(pred, arity))
             expected = {f for f in ref_window
@@ -149,7 +152,8 @@ class TestEngineAgreement:
             assert answers == expected, pred
 
         # Magic sets + incremental maintenance: sampled ground goals.
-        model = IncrementalModel(rules, db, stats=EvalStats())
+        model = IncrementalModel(rules, db,
+                                 instruments=Instruments(stats=EvalStats()))
         for goal in goals:
             expected = goal in reference
             assert magic_ask(rules, db, goal) == expected, goal
@@ -189,7 +193,7 @@ class TestStatsInvariants:
         rules, facts = program
         stats = EvalStats()
         store = fixpoint(rules, TemporalDatabase(facts), HORIZON,
-                         stats=stats)
+                         instruments=Instruments(stats=stats))
         assert stats.engine == "seminaive"
         assert stats.horizon == HORIZON
         assert sum(stats.facts_per_round) == stats.facts_derived
@@ -207,7 +211,7 @@ class TestStatsInvariants:
         rules, facts = program
         stats = EvalStats()
         result = bt_verbatim(rules, TemporalDatabase(facts), HORIZON,
-                             stats=stats)
+                             instruments=Instruments(stats=stats))
         assert stats.engine == "bt_verbatim"
         assert sum(stats.facts_per_round) == stats.facts_derived
         assert stats.extra["initial_facts"] + stats.facts_derived == \
@@ -219,8 +223,9 @@ class TestStatsInvariants:
         rules, facts = program
         db = TemporalDatabase(facts)
         naive_stats, semi_stats = EvalStats(), EvalStats()
-        bt_verbatim(rules, db, HORIZON, stats=naive_stats)
-        fixpoint(rules, db, HORIZON, stats=semi_stats)
+        bt_verbatim(rules, db, HORIZON,
+                    instruments=Instruments(stats=naive_stats))
+        fixpoint(rules, db, HORIZON, instruments=Instruments(stats=semi_stats))
         assert semi_stats.rounds <= naive_stats.rounds
 
     @AUX_SETTINGS
@@ -229,7 +234,7 @@ class TestStatsInvariants:
         rules, facts = program
         stats = EvalStats()
         interval_fixpoint(rules, TemporalDatabase(facts), HORIZON,
-                          stats=stats)
+                          instruments=Instruments(stats=stats))
         assert stats.engine == "interval"
         assert sum(stats.facts_per_round) == stats.facts_derived
         # Saturation converges: the last outer round merges nothing.
@@ -248,16 +253,18 @@ class TestProfilingInvariance:
         reference = fixpoint(rules, db, HORIZON)
 
         stats, registry = EvalStats(), MetricsRegistry()
-        profiled = fixpoint(rules, db, HORIZON, stats=stats,
-                            metrics=registry)
+        profiled = fixpoint(rules, db, HORIZON,
+                            instruments=Instruments(stats=stats,
+                                                    metrics=registry))
         assert profiled.segment(0, HORIZON) == \
             reference.segment(0, HORIZON)
         assert profiled.nt == reference.nt
         assert registry.total_new_facts == stats.facts_derived
 
         verb_stats, verb_registry = EvalStats(), MetricsRegistry()
-        verbatim = bt_verbatim(rules, db, HORIZON, stats=verb_stats,
-                               metrics=verb_registry)
+        verbatim = bt_verbatim(rules, db, HORIZON,
+                               instruments=Instruments(stats=verb_stats,
+                                                       metrics=verb_registry))
         window = verbatim.store.segment(0, HORIZON)
         window |= set(verbatim.store.nt.facts())
         ref_window = reference.segment(0, HORIZON)
@@ -272,7 +279,8 @@ class TestProfilingInvariance:
         rules, facts = program
         stats, registry = EvalStats(), MetricsRegistry()
         interval_fixpoint(rules, TemporalDatabase(facts), HORIZON,
-                          stats=stats, metrics=registry)
+                          instruments=Instruments(stats=stats,
+                                                  metrics=registry))
         assert registry.total_new_facts == stats.facts_derived
 
 
@@ -288,8 +296,10 @@ class TestDatalogStatsInvariants:
         edb = [Fact("edge", None, (f"v{i}", f"v{i + 1}"))
                for i in range(6)]
         naive_stats, semi_stats = EvalStats(), EvalStats()
-        naive = naive_evaluate(rules_text, edb, stats=naive_stats)
-        semi = seminaive_evaluate(rules_text, edb, stats=semi_stats)
+        naive = naive_evaluate(rules_text, edb,
+                               instruments=Instruments(stats=naive_stats))
+        semi = seminaive_evaluate(rules_text, edb,
+                                  instruments=Instruments(stats=semi_stats))
         assert naive == semi
         assert semi_stats.rounds <= naive_stats.rounds
         assert naive_stats.engine == "datalog_naive"

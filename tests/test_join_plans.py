@@ -6,7 +6,7 @@ positions must be matched by an index probe (or a full-row membership
 check when everything is bound), never by a scan; the program registry
 must register exactly the indexes the plans probe; and attaching a
 :class:`~repro.obs.MetricsRegistry` must be a pure observer (identical
-fact sets with ``metrics=None``).
+fact sets without one).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.lang.atoms import Atom
 from repro.lang.rules import Rule
 from repro.lang.sorts import parse_program
 from repro.lang.terms import TimeTerm, Var
-from repro.obs import EvalStats, MetricsRegistry
+from repro.obs import EvalStats, Instruments, MetricsRegistry
 from repro.temporal import TemporalDatabase
 
 REACH = """
@@ -148,14 +148,15 @@ class TestCompileErrors:
 
 class TestProfilingInvariance:
     def test_metrics_observer_does_not_change_the_model(self):
-        """metrics=None and metrics=MetricsRegistry() produce identical
-        fact sets (and the registry's credits reconcile)."""
+        """Running without and with a MetricsRegistry produces
+        identical fact sets (and the registry's credits reconcile)."""
         program = parse_program(REACH, validate=False)
         db = TemporalDatabase(program.facts)
         plain = compiled_fixpoint(program.rules, db, 10)
         stats, registry = EvalStats(), MetricsRegistry()
         observed = compiled_fixpoint(program.rules, db, 10,
-                                     stats=stats, metrics=registry)
+                                     instruments=Instruments(stats=stats,
+                                                             metrics=registry))
         assert observed == plain
         assert set(observed.facts()) == set(plain.facts())
         assert registry.total_new_facts == stats.facts_derived
@@ -164,6 +165,6 @@ class TestProfilingInvariance:
         program = parse_program(REACH, validate=False)
         db = TemporalDatabase(program.facts)
         plain = compiled_fixpoint(program.rules, db, 10)
-        observed = compiled_fixpoint(program.rules, db, 10,
-                                     stats=EvalStats())
+        observed = compiled_fixpoint(
+            program.rules, db, 10, instruments=Instruments(stats=EvalStats()))
         assert observed == plain

@@ -17,8 +17,8 @@ from repro.lang import parse_program, parse_rules
 from repro.lang.atoms import Atom, Fact
 from repro.lang.rules import Rule
 from repro.lang.terms import Var
-from repro.obs import (EvalStats, Histogram, ListSink, MetricsRegistry,
-                       RuleMetrics, TRACE_SCHEMA, Tracer)
+from repro.obs import (EvalStats, Histogram, Instruments, ListSink,
+                       MetricsRegistry, RuleMetrics, TRACE_SCHEMA, Tracer)
 from repro.temporal import (IncrementalModel, TemporalDatabase,
                             bt_evaluate, bt_verbatim, evaluate_window,
                             explain, fixpoint, interval_fixpoint,
@@ -130,7 +130,8 @@ class TestMetricsRegistry:
     def test_export_into_stats_extra(self):
         rules, db = _load(EVEN_ODD)
         stats, registry = EvalStats(), MetricsRegistry()
-        fixpoint(rules, db, HORIZON, stats=stats, metrics=registry)
+        fixpoint(rules, db, HORIZON,
+                 instruments=Instruments(stats=stats, metrics=registry))
         assert stats.extra["rules"] == registry.to_dict()
         record = stats.extra["rules"][0]
         assert set(record) == {"id", "label", "line", "firings",
@@ -150,26 +151,30 @@ class TestCreditInvariant:
     def test_seminaive_fixpoint(self):
         rules, db = _load(EVEN_ODD)
         stats, registry = EvalStats(), MetricsRegistry()
-        fixpoint(rules, db, HORIZON, stats=stats, metrics=registry)
+        fixpoint(rules, db, HORIZON,
+                 instruments=Instruments(stats=stats, metrics=registry))
         self._check(registry, stats)
 
     def test_bt_verbatim(self):
         rules, db = _load(EVEN_ODD)
         stats, registry = EvalStats(), MetricsRegistry()
-        bt_verbatim(rules, db, HORIZON, stats=stats, metrics=registry)
+        bt_verbatim(rules, db, HORIZON,
+                    instruments=Instruments(stats=stats, metrics=registry))
         self._check(registry, stats)
 
     def test_bt_evaluate_with_deepening(self):
         rules, db = _load(EVEN_ODD)
         stats, registry = EvalStats(), MetricsRegistry()
-        bt_evaluate(rules, db, stats=stats, metrics=registry)
+        bt_evaluate(rules, db,
+                    instruments=Instruments(stats=stats, metrics=registry))
         self._check(registry, stats)
 
     def test_stratified_window(self):
         rules, db = _load(STRATIFIED)
         stats, registry = EvalStats(), MetricsRegistry()
-        store = evaluate_window(rules, db, HORIZON, stats=stats,
-                                metrics=registry)
+        store = evaluate_window(rules, db, HORIZON,
+                                instruments=Instruments(stats=stats,
+                                                        metrics=registry))
         assert Fact("safe", 3, ("a",)) in store
         assert Fact("safe", 3, ("b",)) not in store
         self._check(registry, stats)
@@ -177,22 +182,25 @@ class TestCreditInvariant:
     def test_interval_engine(self):
         rules, db = _load(EVEN_ODD)
         stats, registry = EvalStats(), MetricsRegistry()
-        interval_fixpoint(rules, db, HORIZON, stats=stats,
-                          metrics=registry)
+        interval_fixpoint(rules, db, HORIZON,
+                          instruments=Instruments(stats=stats,
+                                                  metrics=registry))
         self._check(registry, stats)
 
     def test_topdown(self):
         rules, db = _load(EVEN_ODD)
         stats, registry = EvalStats(), MetricsRegistry()
         assert topdown_ask(rules, db, Fact("even", 8, ()),
-                           stats=stats, metrics=registry)
+                           instruments=Instruments(stats=stats,
+                                                   metrics=registry))
         self._check(registry, stats)
 
     def test_magic(self):
         rules, db = _load(EVEN_ODD)
         stats, registry = EvalStats(), MetricsRegistry()
         assert magic_ask(rules, db, Fact("even", 8, ()),
-                         stats=stats, metrics=registry)
+                         instruments=Instruments(stats=stats,
+                                                 metrics=registry))
         self._check(registry, stats)
         # Rewritten rules inherit the source rule's span.
         assert any(r.line is not None for r in registry)
@@ -200,8 +208,9 @@ class TestCreditInvariant:
     def test_incremental_insert_paths(self):
         rules, db = _load(EVEN_ODD)
         stats, registry = EvalStats(), MetricsRegistry()
-        model = IncrementalModel(rules, db, stats=stats,
-                                 metrics=registry)
+        model = IncrementalModel(rules, db,
+                                 instruments=Instruments(stats=stats,
+                                                         metrics=registry))
         self._check(registry, stats)
         model.insert(Fact("even", 4, ()))      # duplicate seed
         model.insert(Fact("odd", 5, ()))
@@ -220,25 +229,27 @@ class TestCreditInvariant:
         edb = [Fact("edge", None, (f"v{i}", f"v{i + 1}"))
                for i in range(5)]
         stats, registry = EvalStats(), MetricsRegistry()
-        naive_evaluate(self._datalog_rules(), edb, stats=stats,
-                       metrics=registry)
+        naive_evaluate(self._datalog_rules(), edb,
+                       instruments=Instruments(stats=stats, metrics=registry))
         self._check(registry, stats)
 
     def test_datalog_seminaive(self):
         edb = [Fact("edge", None, (f"v{i}", f"v{i + 1}"))
                for i in range(5)]
         stats, registry = EvalStats(), MetricsRegistry()
-        seminaive_evaluate(self._datalog_rules(), edb, stats=stats,
-                           metrics=registry)
+        seminaive_evaluate(self._datalog_rules(), edb,
+                           instruments=Instruments(stats=stats,
+                                                   metrics=registry))
         self._check(registry, stats)
 
     def test_naive_and_seminaive_agree_per_rule(self):
         edb = [Fact("edge", None, (f"v{i}", f"v{i + 1}"))
                for i in range(5)]
         naive_reg, semi_reg = MetricsRegistry(), MetricsRegistry()
-        naive_evaluate(self._datalog_rules(), edb, metrics=naive_reg)
+        naive_evaluate(self._datalog_rules(), edb,
+                       instruments=Instruments(metrics=naive_reg))
         seminaive_evaluate(self._datalog_rules(), edb,
-                           metrics=semi_reg)
+                           instruments=Instruments(metrics=semi_reg))
         assert naive_reg.total_new_facts == semi_reg.total_new_facts
         # Semi-naive re-derives strictly less than naive iteration.
         assert semi_reg.total_duplicates <= naive_reg.total_duplicates
@@ -252,8 +263,9 @@ class TestDuplicateAttribution:
     def test_duplicates_are_alternative_derivations(self):
         rules, db = _load(DIAMOND)
         stats, registry = EvalStats(), MetricsRegistry()
-        store = fixpoint(rules, db, HORIZON, stats=stats,
-                         metrics=registry)
+        store = fixpoint(rules, db, HORIZON,
+                         instruments=Instruments(stats=stats,
+                                                 metrics=registry))
         assert registry.total_new_facts == stats.facts_derived
         # p(t) has two derivations for every t in 1..HORIZON: exactly
         # one per-rule credit and at least one duplicate each round.
@@ -270,7 +282,7 @@ class TestDuplicateAttribution:
     def test_deterministic_programs_have_no_duplicates(self):
         rules, db = _load(EVEN_ODD)
         registry = MetricsRegistry()
-        fixpoint(rules, db, HORIZON, metrics=registry)
+        fixpoint(rules, db, HORIZON, instruments=Instruments(metrics=registry))
         assert registry.total_duplicates == 0
 
 
@@ -283,13 +295,14 @@ class TestDisabledPath:
         rules, db = _load(EVEN_ODD)
         fixpoint(rules, db, HORIZON)                     # warm caches
         gc.collect()
-        before = sum(isinstance(obj, (RuleMetrics, Histogram))
+        before = sum(isinstance(obj, (RuleMetrics, Histogram, Instruments))
                      for obj in gc.get_objects())
-        fixpoint(rules, db, HORIZON, stats=EvalStats())
+        fixpoint(rules, db, HORIZON,
+                 instruments=Instruments(stats=EvalStats()))
         bt_verbatim(rules, db, HORIZON)
         interval_fixpoint(rules, db, HORIZON)
         gc.collect()
-        after = sum(isinstance(obj, (RuleMetrics, Histogram))
+        after = sum(isinstance(obj, (RuleMetrics, Histogram, Instruments))
                     for obj in gc.get_objects())
         assert after == before
 
@@ -297,7 +310,7 @@ class TestDisabledPath:
         rules, db = _load(DIAMOND)
         reference = fixpoint(rules, db, HORIZON)
         profiled = fixpoint(rules, db, HORIZON,
-                            metrics=MetricsRegistry())
+                            instruments=Instruments(metrics=MetricsRegistry()))
         assert profiled.segment(0, HORIZON) == \
             reference.segment(0, HORIZON)
 

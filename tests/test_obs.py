@@ -6,8 +6,9 @@ import io
 import json
 
 from repro.lang import parse_program
-from repro.obs import (EvalStats, JsonLinesSink, ListSink, Stopwatch,
-                       Tracer, phase_timer)
+from repro.obs import (EvalStats, Instruments, JsonLinesSink, ListSink,
+                       Tracer)
+from repro.obs.instruments import phase
 from repro.temporal import TemporalDatabase, bt_evaluate, fixpoint
 
 
@@ -157,30 +158,24 @@ class TestTracer:
 class TestTiming:
     def test_phase_timer_accumulates(self):
         stats = EvalStats()
-        with phase_timer(stats, "evaluate"):
+        instruments = Instruments(stats=stats)
+        with instruments.phase("evaluate"):
             pass
-        with phase_timer(stats, "evaluate"):
+        with instruments.phase("evaluate"):
             pass
         assert "evaluate" in stats.phase_seconds
         assert stats.phase_seconds["evaluate"] >= 0.0
 
     def test_phase_timer_emits_event(self):
         sink = ListSink()
-        tracer = Tracer(sink)
-        with phase_timer(None, "rewrite", tracer):
+        with Instruments(tracer=Tracer(sink)).phase("rewrite"):
             pass
         assert sink.events[0]["event"] == "phase"
         assert sink.events[0]["name"] == "rewrite"
 
     def test_phase_timer_none_is_noop(self):
-        with phase_timer(None, "anything"):
+        with phase(None, "anything"):
             pass
-
-    def test_stopwatch(self):
-        watch = Stopwatch()
-        assert watch.elapsed >= 0.0
-        watch.restart()
-        assert watch.elapsed >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +195,9 @@ class TestDisabledInstrumentation:
         plain = fixpoint(program.rules, db, 20)
         sink = ListSink()
         stats = EvalStats()
-        traced = fixpoint(program.rules, db, 20, stats=stats,
-                          tracer=Tracer(sink))
+        traced = fixpoint(program.rules, db, 20,
+                          instruments=Instruments(stats=stats,
+                                                  tracer=Tracer(sink)))
         assert plain == traced
         assert stats.rounds > 0
         assert sink.events
@@ -217,7 +213,7 @@ class TestDisabledInstrumentation:
         stats = EvalStats()
         result = bt_evaluate(program.rules,
                              TemporalDatabase(program.facts),
-                             stats=stats)
+                             instruments=Instruments(stats=stats))
         assert result.stats is stats
         assert stats.engine == "bt"
         assert stats.period is not None
@@ -228,7 +224,8 @@ class TestDisabledInstrumentation:
     def test_store_stats_hook_is_detached_after_evaluation(self):
         program = parse_program(EVEN)
         db = TemporalDatabase(program.facts)
-        store = fixpoint(program.rules, db, 20, stats=EvalStats())
+        store = fixpoint(program.rules, db, 20,
+                         instruments=Instruments(stats=EvalStats()))
         assert store.stats is None
         assert db.stats is None
 
@@ -236,7 +233,7 @@ class TestDisabledInstrumentation:
         program = parse_program(EVEN)
         sink = ListSink()
         bt_evaluate(program.rules, TemporalDatabase(program.facts),
-                    tracer=Tracer(sink))
+                    instruments=Instruments(tracer=Tracer(sink)))
         kinds = {e["event"] for e in sink.events}
         assert {"eval_start", "round", "eval_end",
                 "phase", "period"} <= kinds

@@ -30,8 +30,8 @@ from repro.cli import main
 from repro.core import TDD
 from repro.datalog.compiled import compiled_fixpoint
 from repro.lang.atoms import Fact
-from repro.obs import (EvalStats, ListSink, ProvenanceStore, Tracer,
-                       render_proof, why_not)
+from repro.obs import (EvalStats, Instruments, ListSink, ProvenanceStore,
+                       Tracer, render_proof, why_not)
 from repro.obs.provenance import Support
 from repro.serve import QueryRequest, QueryService, SpecCache
 from repro.temporal import TemporalDatabase, fixpoint
@@ -81,7 +81,8 @@ class TestDifferentialCorpus:
         models = []
         for run in (fixpoint, compiled_fixpoint):
             store = ProvenanceStore()
-            model = run(rules, db, HORIZON, provenance=store)
+            model = run(rules, db, HORIZON,
+                        instruments=Instruments(provenance=store))
             models.append(model)
             for fact in model.facts():
                 if fact in db:
@@ -105,8 +106,9 @@ class TestDifferentialCorpus:
         rules, facts = program
         db = TemporalDatabase(facts)
         reference = fixpoint(rules, db, HORIZON)
-        recorded = fixpoint(rules, db, HORIZON,
-                            provenance=ProvenanceStore())
+        recorded = fixpoint(
+            rules, db, HORIZON,
+            instruments=Instruments(provenance=ProvenanceStore()))
         assert recorded == reference
 
 
@@ -121,12 +123,14 @@ class TestDisabledPath:
         fixpoint(rules, db, HORIZON)                     # warm caches
         compiled_fixpoint(rules, db, HORIZON)
         gc.collect()
-        before = sum(isinstance(obj, (ProvenanceStore, Support))
+        before = sum(isinstance(obj, (ProvenanceStore, Support, Instruments))
                      for obj in gc.get_objects())
-        fixpoint(rules, db, HORIZON, stats=EvalStats())
-        compiled_fixpoint(rules, db, HORIZON, stats=EvalStats())
+        fixpoint(rules, db, HORIZON,
+                 instruments=Instruments(stats=EvalStats()))
+        compiled_fixpoint(rules, db, HORIZON,
+                          instruments=Instruments(stats=EvalStats()))
         gc.collect()
-        after = sum(isinstance(obj, (ProvenanceStore, Support))
+        after = sum(isinstance(obj, (ProvenanceStore, Support, Instruments))
                     for obj in gc.get_objects())
         assert after == before
 
@@ -169,7 +173,7 @@ class TestStore:
     def test_derivation_unknown_fact_is_none(self):
         tdd = TDD.from_text(EVEN)
         store = ProvenanceStore()
-        tdd.evaluate(provenance=store)
+        tdd.evaluate(instruments=Instruments(provenance=store))
         assert store.derivation(Fact("even", 5, ()),
                                 database=tdd.database) is None
 
@@ -195,8 +199,9 @@ class TestStats:
     def test_stats_extra_provenance_invariants(self):
         tdd = TDD.from_text(EVEN)
         stats = EvalStats()
-        fixpoint(tdd.rules, tdd.database, HORIZON, stats=stats,
-                 provenance=ProvenanceStore())
+        fixpoint(tdd.rules, tdd.database, HORIZON,
+                 instruments=Instruments(stats=stats,
+                                         provenance=ProvenanceStore()))
         block = stats.extra["provenance"]
         assert block["derived"] <= block["facts"]
         assert block["edges"] >= block["derived"]
@@ -211,7 +216,8 @@ class TestStats:
         stats = EvalStats()
         store = ProvenanceStore(all_supports=True)
         compiled_fixpoint(rules, TemporalDatabase(facts), HORIZON,
-                          stats=stats, provenance=store)
+                          instruments=Instruments(stats=stats,
+                                                  provenance=store))
         block = stats.extra["provenance"]
         assert block["derived"] <= block["facts"]
         assert block["edges"] >= block["derived"]
