@@ -78,6 +78,7 @@ Program files use the paper's rule syntax (see README).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence, TextIO, Union
@@ -1088,7 +1089,16 @@ def main(argv: Union[Sequence[str], None] = None,
         if stats is not None:
             print("\n-- eval stats --", file=stream)
             print(stats.summary(), file=stream)
+        stream.flush()
         return code
+    except BrokenPipeError:
+        # The reader went away (`repro run ... | head -1`): not an
+        # error.  Point stdout at devnull so the interpreter's final
+        # flush of what is still buffered stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except _SourceError as exc:
         _print_source_error(exc)
         return 2

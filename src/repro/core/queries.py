@@ -34,6 +34,7 @@ from typing import Mapping, Sequence, Union
 from ..lang.atoms import Atom, Fact
 from ..lang.errors import ParseError, SortError
 from ..lang.parse import Token, is_variable_name, tokenize
+from ..lang.subst import instantiate_head, join
 from ..lang.terms import Const, TimeTerm, Var
 from ..temporal.bt import BTResult
 from .answers import DATA, TIME, AnswerSet, Value
@@ -229,17 +230,6 @@ def _ground_time(tt: TimeTerm, binding: Mapping[str, Value]) -> int:
     return value + tt.offset
 
 
-def _atom_fact(atom: Atom, binding: Mapping[str, Value]) -> Fact:
-    time = None
-    if atom.time is not None:
-        time = _ground_time(atom.time, binding)
-    args = tuple(
-        binding[a.name] if isinstance(a, Var) else a.value
-        for a in atom.args
-    )
-    return Fact(atom.pred, time, args)
-
-
 class _SpecDomain:
     """Quantifier domains + atom oracle backed by a specification.
 
@@ -296,7 +286,7 @@ class _ModelDomain:
 
 def _evaluate(query: Query, domain, binding: dict[str, Value]) -> bool:
     if isinstance(query, AtomQ):
-        return domain.holds(_atom_fact(query.atom, binding))
+        return domain.holds(instantiate_head(query.atom, binding))
     if isinstance(query, Not):
         return not _evaluate(query.inner, domain, binding)
     if isinstance(query, And):
@@ -477,14 +467,13 @@ def _join_answers(positive: Sequence[Atom], negative: Sequence[Atom],
                   names: Sequence[str],
                   spec: RelationalSpec) -> set[tuple[Value, ...]]:
     from ..datalog.engine import plan_order
-    from ..temporal.operator import temporal_join
 
     atoms = [_canonical_atom(a, spec) for a in positive]
     negs = [_canonical_atom(a, spec) for a in negative]
     order = plan_order(atoms)
     stores = [spec.primary] * len(order)
     found: set[tuple[Value, ...]] = set()
-    for binding in temporal_join(atoms, order, stores):
+    for binding in join(atoms, order, stores):
         if any(_atom_holds_negated(a, binding, spec) for a in negs):
             continue
         found.add(tuple(binding[name] for name in names))
@@ -492,8 +481,7 @@ def _join_answers(positive: Sequence[Atom], negative: Sequence[Atom],
 
 
 def _atom_holds_negated(atom: Atom, binding, spec: RelationalSpec) -> bool:
-    fact = _atom_fact(atom, binding)
-    return spec.holds(fact)
+    return spec.holds(instantiate_head(atom, binding))
 
 
 def answers(query: Query, spec: RelationalSpec,

@@ -12,14 +12,14 @@ from .depgraph import (dependency_graph, derived_predicates,
                        is_stratifiable, negative_edges, predicate_levels,
                        recursive_predicates, strata_of_rules,
                        stratification, strongly_connected_components)
-from .engine import (check_datalog, immediate_consequences, join,
+from .engine import (check_datalog, immediate_consequences,
                      naive_evaluate, plan_order, seminaive_evaluate)
 from .facts import ArgTuple, FactStore
 
 __all__ = [
     "FactStore", "ArgTuple",
     "naive_evaluate", "seminaive_evaluate", "immediate_consequences",
-    "check_datalog", "join", "plan_order",
+    "check_datalog", "plan_order",
     "dependency_graph", "strongly_connected_components",
     "derived_predicates", "recursive_predicates",
     "is_mutual_recursion_free", "is_recursive_rule", "predicate_levels",

@@ -8,21 +8,21 @@ Two engines over :class:`~repro.datalog.facts.FactStore`:
 * :func:`seminaive_evaluate` — standard semi-naive evaluation with delta
   relations and greedy join ordering; the production path.
 
-Joins order body atoms greedily by boundness and probe lazily-built hash
-indexes on the bound positions (see :class:`FactStore`).
+Rule bodies are enumerated by the one join of :mod:`repro.lang.subst`
+(shared with the temporal engines) in the order :func:`plan_order`
+picks; each atom probes a lazily-built hash index of :class:`FactStore`
+on its bound positions.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from ..lang.atoms import Fact
 from ..lang.errors import ValidationError
 from ..lang.rules import Rule
-from ..lang.terms import Const, Var
+from ..lang.subst import Binding, ground, join
 from .facts import ArgTuple, FactStore
-
-Binding = dict[str, Union[str, int]]
 
 
 def check_datalog(rules: Sequence[Rule]) -> None:
@@ -48,7 +48,7 @@ def _negatives_absent(rule: Rule, binding: Binding,
     """Check the rule's negative literals against ``store`` — sound
     when the negated predicates are frozen (stratified scheduling)."""
     for atom in rule.negative:
-        pred, args = _head_fact(atom, binding)
+        pred, _, args = ground(atom, binding)
         if store.contains(pred, args):
             return False
     return True
@@ -71,73 +71,6 @@ def plan_order(body: Sequence, first: Union[int, None] = None) -> list[int]:
     return list(cost_order(body, first=first).order)
 
 
-def _extend_binding(atom, args: ArgTuple,
-                    binding: Binding) -> Union[Binding, None]:
-    """Extend ``binding`` so that ``atom``'s data args match ``args``."""
-    new: Union[Binding, None] = None
-    for pattern, value in zip(atom.args, args):
-        if isinstance(pattern, Const):
-            if pattern.value != value:
-                return None
-        else:
-            source = new if new is not None else binding
-            bound = source.get(pattern.name)
-            if bound is None:
-                if new is None:
-                    new = dict(binding)
-                new[pattern.name] = value
-            elif bound != value:
-                return None
-    return new if new is not None else binding
-
-
-def _candidates(atom, store: FactStore,
-                binding: Binding) -> Iterator[ArgTuple]:
-    positions: list[int] = []
-    key: list[Union[str, int]] = []
-    for i, arg in enumerate(atom.args):
-        if isinstance(arg, Const):
-            positions.append(i)
-            key.append(arg.value)
-        elif arg.name in binding:
-            positions.append(i)
-            key.append(binding[arg.name])
-    yield from store.lookup(atom.pred, tuple(positions), tuple(key))
-
-
-def join(body: Sequence, order: Sequence[int], stores: Sequence[FactStore],
-         binding: Union[Binding, None] = None) -> Iterator[Binding]:
-    """Enumerate bindings satisfying all body atoms.
-
-    ``stores[k]`` supplies the facts for the atom at ``order[k]`` —
-    passing the delta store for position 0 and the full store elsewhere
-    yields the semi-naive rule firing.
-    """
-    if binding is None:
-        binding = {}
-
-    def recurse(step: int, binding: Binding) -> Iterator[Binding]:
-        if step == len(order):
-            yield binding
-            return
-        atom = body[order[step]]
-        store = stores[step]
-        for args in _candidates(atom, store, binding):
-            extended = _extend_binding(atom, args, binding)
-            if extended is not None:
-                yield from recurse(step + 1, extended)
-
-    return recurse(0, binding)
-
-
-def _head_fact(head, binding: Binding) -> tuple[str, ArgTuple]:
-    args = tuple(
-        binding[a.name] if isinstance(a, Var) else a.value
-        for a in head.args
-    )
-    return head.pred, args
-
-
 def _record_support(provenance, rule: Rule, pred: str, args: ArgTuple,
                     binding: Binding, round_no: int) -> None:
     """Materialize the rule instance behind one new fact and record it.
@@ -145,13 +78,10 @@ def _record_support(provenance, rule: Rule, pred: str, args: ArgTuple,
     Only called when a provenance store is attached, so the disabled
     path never builds premise facts.
     """
-    def ground(atom) -> Fact:
-        apred, aargs = _head_fact(atom, binding)
-        return Fact(apred, None, aargs)
-
     provenance.record(rule, Fact(pred, None, args),
-                      tuple(ground(a) for a in rule.body),
-                      tuple(ground(a) for a in rule.negative), round_no)
+                      tuple(Fact(*ground(a, binding)) for a in rule.body),
+                      tuple(Fact(*ground(a, binding))
+                            for a in rule.negative), round_no)
 
 
 def immediate_consequences(rules: Sequence[Rule],
@@ -173,7 +103,7 @@ def immediate_consequences(rules: Sequence[Rule],
     for rule in rules:
         rm = metrics.rule(rule) if metrics is not None else None
         if rule.is_fact:
-            pred, args = _head_fact(rule.head, {})
+            pred, _, args = ground(rule.head, {})
             if rm is None:
                 out.add(pred, args)
                 continue
@@ -193,7 +123,7 @@ def immediate_consequences(rules: Sequence[Rule],
             if rule.negative and not _negatives_absent(rule, binding,
                                                        store):
                 continue
-            pred, args = _head_fact(rule.head, binding)
+            pred, _, args = ground(rule.head, binding)
             if rm is None:
                 out.add(pred, args)
                 continue
@@ -284,7 +214,7 @@ def _seminaive_group(rules: Sequence[Rule], store: FactStore,
     for rule in rules:
         if rule.is_fact:
             rm = metrics.rule(rule) if metrics is not None else None
-            pred, args = _head_fact(rule.head, {})
+            pred, _, args = ground(rule.head, {})
             if rm is not None:
                 rm.firings += 1
             if store.add(pred, args):
@@ -342,7 +272,7 @@ def _fire_round(plans, store: FactStore, delta: Union[FactStore, None],
                 if rule.negative and not _negatives_absent(
                         rule, binding, store):
                     continue
-                pred, args = _head_fact(rule.head, binding)
+                pred, _, args = ground(rule.head, binding)
                 if rm is not None:
                     rm.firings += 1
                 if store.add(pred, args):

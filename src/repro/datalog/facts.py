@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Union
 
 from ..lang.atoms import Fact
+from ..lang.subst import Binding, bound_key, extend_args
 
 ArgTuple = tuple[Union[str, int], ...]
 
@@ -98,6 +99,16 @@ class FactStore:
         elif self.stats is not None:
             self.stats.index_hits += 1
         return index.get(key, [])
+
+    def matches(self, atom, binding: Binding) -> Iterator[Binding]:
+        """Extensions of ``binding`` under which ``atom`` holds here,
+        probing the index on its bound positions (the per-atom step of
+        :func:`~repro.lang.subst.join`)."""
+        positions, key = bound_key(atom, binding)
+        for args in self.lookup(atom.pred, positions, key):
+            extended = extend_args(atom.args, args, binding)
+            if extended is not None:
+                yield extended
 
     def facts(self) -> Iterator[Fact]:
         """Iterate all facts in no particular order."""

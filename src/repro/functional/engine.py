@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
-from ..lang.terms import Const, DataTerm, Var
+from ..lang.subst import extend_args, ground_args
+from ..lang.terms import DataTerm
 from .terms import FTerm, Word
 
 
@@ -74,7 +75,7 @@ def _match_atom(atom: FAtom, fact: FFact,
         return None
     if (atom.fterm is None) != (fact.word is None):
         return None
-    new: Union[Binding, None] = None
+    word_var = None
     if atom.fterm is not None:
         assert fact.word is not None
         matched, word_binding = atom.fterm.matches(fact.word)
@@ -83,24 +84,15 @@ def _match_atom(atom: FAtom, fact: FFact,
         if atom.fterm.var is not None:
             bound = binding.get(atom.fterm.var)
             if bound is None:
-                new = dict(binding)
-                new[atom.fterm.var] = word_binding
+                word_var = atom.fterm.var
             elif bound != word_binding:
                 return None
-    for pattern, value in zip(atom.args, fact.args):
-        if isinstance(pattern, Const):
-            if pattern.value != value:
-                return None
-        else:
-            source = new if new is not None else binding
-            bound = source.get(pattern.name)
-            if bound is None:
-                if new is None:
-                    new = dict(binding)
-                new[pattern.name] = value
-            elif bound != value:
-                return None
-    return new if new is not None else binding
+    new = extend_args(atom.args, fact.args, binding)
+    if new is not None and word_var is not None:
+        if new is binding:
+            new = dict(binding)
+        new[word_var] = word_binding
+    return new
 
 
 def _instantiate_head(head: FAtom, binding: Binding) -> FFact:
@@ -113,11 +105,7 @@ def _instantiate_head(head: FAtom, binding: Binding) -> FFact:
         base = binding[head.fterm.var]
         assert isinstance(base, tuple)
         word = head.fterm.word + base
-    args = tuple(
-        binding[a.name] if isinstance(a, Var) else a.value  # type: ignore
-        for a in head.args
-    )
-    return FFact(head.pred, word, args)
+    return FFact(head.pred, word, ground_args(head, binding))
 
 
 def _satisfy(body: Sequence[FAtom], facts: set[FFact],

@@ -15,7 +15,8 @@ from .pretty import format_facts, format_program, format_rules
 from .rules import Rule, validate_rule, validate_rules
 from .sorts import ParsedProgram, parse_facts, parse_program, parse_rules
 from .spans import Span
-from .subst import Binding, apply_to_atom, instantiate_head, match_atom
+from .subst import (Binding, apply_to_atom, instantiate_head, join,
+                    match_atom)
 from .terms import Const, DataTerm, TimeTerm, Var, ground_time, time_var
 
 __all__ = [
@@ -25,7 +26,7 @@ __all__ = [
     "parse_raw", "tokenize", "is_variable_name",
     "format_rules", "format_facts", "format_program",
     "validate_rule", "validate_rules",
-    "Binding", "match_atom", "apply_to_atom", "instantiate_head",
+    "Binding", "match_atom", "apply_to_atom", "instantiate_head", "join",
     "ReproError", "ParseError", "SortError", "ValidationError",
     "EvaluationError", "ClassificationError",
     "day_number", "day_range", "date_of",

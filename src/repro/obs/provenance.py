@@ -525,8 +525,7 @@ def why_not(rules, store, fact: Union[Fact, Atom],
     the longest premise prefix — naming the body literal that broke (or
     the negative literal that blocked), instantiated at its time point.
     """
-    from ..lang.subst import match_atom
-    from ..temporal.operator import _atom_matches, _head_values
+    from ..lang.subst import ground, instantiate_head, match_atom
     if isinstance(fact, Atom):
         fact = fact.to_fact()
     if fact in store:
@@ -559,7 +558,7 @@ def why_not(rules, store, fact: Union[Fact, Atom],
                 return
             if i == len(rule.body):
                 for neg in rule.negative:
-                    pred, time, args = _head_values(neg, binding)
+                    pred, time, args = ground(neg, binding)
                     if store.contains(pred, time, args):
                         consider(satisfied,
                                  str(Fact(pred, time, args)),
@@ -570,11 +569,11 @@ def why_not(rules, store, fact: Union[Fact, Atom],
                          "the window for")
                 return
             matched = False
-            for ext in _atom_matches(rule.body[i], store, binding):
+            for ext in store.matches(rule.body[i], binding):
                 budget[0] -= 1
                 matched = True
-                pred, time, args = _head_values(rule.body[i], ext)
-                walk(i + 1, ext, satisfied + [Fact(pred, time, args)])
+                walk(i + 1, ext,
+                     satisfied + [instantiate_head(rule.body[i], ext)])
                 if budget[0] <= 0:
                     return
             if not matched:

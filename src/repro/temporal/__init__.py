@@ -21,14 +21,14 @@ from .topdown import TopDownEngine, topdown_ask
 from .upsets import UPSet, UPStore, infinite_objects
 from .database import TemporalDatabase
 from .normalize import is_normal, is_semi_normal, to_normal, to_semi_normal
-from .operator import fixpoint, step, temporal_join
+from .operator import fixpoint, step
 from .periodicity import (Period, find_minimal_period, forward_lookback,
                           holds_with_period, range_of, state_ids)
 from .store import EMPTY_STATE, State, TemporalStore
 
 __all__ = [
     "TemporalStore", "TemporalDatabase", "State", "EMPTY_STATE",
-    "step", "fixpoint", "temporal_join",
+    "step", "fixpoint",
     "bt_evaluate", "bt_verbatim", "BTResult", "verify_period",
     "evaluate_window", "stratified_fixpoint", "is_definite",
     "IncrementalModel", "continue_fixpoint",

@@ -26,7 +26,7 @@ from ..datalog.engine import plan_order
 from ..lang.atoms import Atom, Fact
 from ..lang.errors import EvaluationError
 from ..lang.rules import Rule
-from .operator import _head_values, temporal_join
+from ..lang.subst import instantiate_head, join, match_atom
 from .store import TemporalStore
 
 
@@ -127,8 +127,7 @@ def _search(fact: Fact, rules: Sequence[Rule], database: TemporalStore,
             continue
         order = plan_order(rule.body)
         stores = [store] * len(order)
-        for full_binding in temporal_join(rule.body, order, stores,
-                                          dict(binding)):
+        for full_binding in join(rule.body, order, stores, dict(binding)):
             premises = _try_premises(rule, full_binding, rules,
                                      database, store, extended_path,
                                      memo, budget)
@@ -145,8 +144,7 @@ def _try_premises(rule: Rule, binding, rules, database, store,
                   ) -> Union[list, None]:
     premises: list[Derivation] = []
     for atom in rule.body:
-        pred, time, args = _head_values(atom, binding)
-        premise_fact = Fact(pred, time, args)
+        premise_fact = instantiate_head(atom, binding)
         if premise_fact in path:
             return None  # would not be well-founded; try another support
         sub = _search(premise_fact, rules, database, store, path, memo,
@@ -155,8 +153,7 @@ def _try_premises(rule: Rule, binding, rules, database, store,
             return None
         premises.append(sub)
     for atom in rule.negative:
-        pred, time, args = _head_values(atom, binding)
-        absent = Fact(pred, time, args)
+        absent = instantiate_head(atom, binding)
         if absent in store:
             return None
         premises.append(Derivation(absent, "absent"))
@@ -165,5 +162,4 @@ def _try_premises(rule: Rule, binding, rules, database, store,
 
 def _match_head(head: Atom, fact: Fact):
     """Bind the head pattern against a ground fact, or None."""
-    from ..lang.subst import match_atom
     return match_atom(head, fact, {})

@@ -35,10 +35,11 @@ from typing import Iterable, Sequence, Union
 from ..lang.atoms import Atom, Fact
 from ..lang.errors import EvaluationError
 from ..lang.rules import Rule, validate_rules
+from ..lang.subst import ground, join
 from ..datalog.engine import plan_order
 from .bt import BTResult, bt_evaluate
 from .database import TemporalDatabase
-from .operator import (_head_values, continue_fixpoint, temporal_join)
+from .operator import continue_fixpoint
 from .periodicity import (Period, find_minimal_period, forward_lookback)
 from .stratified import is_definite
 from .store import TemporalStore
@@ -174,10 +175,8 @@ class IncrementalModel:
             for rule, leads in plans:
                 for i, order in leads:
                     stores = [frontier] + [store] * (len(order) - 1)
-                    for binding in temporal_join(rule.body, order,
-                                                 stores):
-                        pred, time, args = _head_values(rule.head,
-                                                        binding)
+                    for binding in join(rule.body, order, stores):
+                        pred, time, args = ground(rule.head, binding)
                         if time is not None and time > horizon:
                             continue
                         if store.contains(pred, time, args) and \
@@ -197,8 +196,8 @@ class IncrementalModel:
         for rule, _ in plans:
             order = plan_order(rule.body)
             stores = [store] * len(order)
-            for binding in temporal_join(rule.body, order, stores):
-                pred, time, args = _head_values(rule.head, binding)
+            for binding in join(rule.body, order, stores):
+                pred, time, args = ground(rule.head, binding)
                 if time is not None and time > horizon:
                     continue
                 if marked.contains(pred, time, args):

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from ..datalog.facts import ArgTuple, FactStore
-from ..lang.atoms import Atom
 from ..lang.errors import EvaluationError
 from ..lang.rules import Rule, validate_rules
-from ..lang.terms import Const, Var
+from ..lang.subst import Binding, bound_key, extend_args, ground_args, join
 from .database import TemporalDatabase
 from .store import TemporalStore
 
@@ -150,6 +149,24 @@ class IntervalStore:
     def tuples(self, pred: str) -> "dict[ArgTuple, IntervalSet]":
         return self._temporal.get(pred, {})
 
+    def matches(self, atom, binding: Binding) -> Iterator[Binding]:
+        """Data-level extensions of ``binding`` matching ``atom`` (the
+        per-atom step of :func:`~repro.lang.subst.join`).
+
+        A temporal atom matches every tuple of its predicate whatever
+        its times: the rule firing intersects those interval sets
+        afterwards.
+        """
+        if atom.time is None:
+            positions, key = bound_key(atom, binding)
+            candidates = self.nt.lookup(atom.pred, positions, key)
+        else:
+            candidates = list(self.tuples(atom.pred))
+        for args in candidates:
+            extended = extend_args(atom.args, args, binding)
+            if extended is not None:
+                yield extended
+
     def merge(self, pred: str, args: ArgTuple,
               times: IntervalSet) -> bool:
         """Union new times in; True when the set actually grew."""
@@ -189,58 +206,6 @@ def _check_fragment(rules: Sequence[Rule]) -> None:
                 f"rule {rule} has several temporal variables; "
                 "normalize to semi-normal form first"
             )
-
-
-def _data_bindings(atoms: Sequence[Atom], store: IntervalStore,
-                   binding: dict) -> Iterator[dict]:
-    """Enumerate data-level bindings; time is handled separately."""
-    if not atoms:
-        yield binding
-        return
-    atom, rest = atoms[0], atoms[1:]
-    if atom.time is None:
-        positions, key = [], []
-        for i, arg in enumerate(atom.args):
-            if isinstance(arg, Const):
-                positions.append(i)
-                key.append(arg.value)
-            elif arg.name in binding:
-                positions.append(i)
-                key.append(binding[arg.name])
-        candidates = store.nt.lookup(atom.pred, tuple(positions),
-                                     tuple(key))
-    else:
-        candidates = list(store.tuples(atom.pred))
-    for args in candidates:
-        extended = _extend(atom, args, binding)
-        if extended is not None:
-            yield from _data_bindings(rest, store, extended)
-
-
-def _extend(atom: Atom, args: ArgTuple,
-            binding: dict) -> Union[dict, None]:
-    new = None
-    for pattern, value in zip(atom.args, args):
-        if isinstance(pattern, Const):
-            if pattern.value != value:
-                return None
-        else:
-            source = new if new is not None else binding
-            bound = source.get(pattern.name)
-            if bound is None:
-                if new is None:
-                    new = dict(binding)
-                new[pattern.name] = value
-            elif bound != value:
-                return None
-    return new if new is not None else binding
-
-
-def _bound_args(atom: Atom, binding: dict) -> ArgTuple:
-    return tuple(
-        binding[a.name] if isinstance(a, Var) else a.value
-        for a in atom.args
-    )
 
 
 def interval_fixpoint(rules: Sequence[Rule], database: TemporalDatabase,
@@ -321,14 +286,15 @@ def _fire_rule(rule: Rule, store: IntervalStore, horizon: int,
     """
     head = rule.head
     grew = probes = 0
-    for binding in _data_bindings(rule.body, store, {}):
+    body = rule.body
+    for binding in join(body, range(len(body)), [store] * len(body)):
         probes += 1
         times: Union[IntervalSet, None] = None
         dead = False
         for atom in rule.body:
             if atom.time is None:
                 continue
-            args = _bound_args(atom, binding)
+            args = ground_args(atom, binding)
             tuple_times = store.times(atom.pred, args)
             if atom.time.var is None:
                 if atom.time.offset not in tuple_times:
@@ -343,7 +309,7 @@ def _fire_rule(rule: Rule, store: IntervalStore, horizon: int,
                 break
         if dead:
             continue
-        head_args = _bound_args(head, binding)
+        head_args = ground_args(head, binding)
         if head.time is None:
             # Non-temporal head: derivable when the body is satisfiable
             # at some timepoint (or the body was purely non-temporal).

@@ -20,125 +20,13 @@ through them).  The equivalence of the two paths is property-tested.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from ..datalog.engine import plan_order
-from ..datalog.facts import ArgTuple
-from ..lang.atoms import Atom, Fact
+from ..lang.atoms import Fact
 from ..lang.rules import Rule
-from ..lang.terms import Const, Var
+from ..lang.subst import Binding, ground, join
 from .store import TemporalStore
-
-Binding = dict[str, Union[str, int]]
-
-
-def _data_index(atom: Atom,
-                binding: Binding) -> tuple[tuple[int, ...], ArgTuple]:
-    """Bound data positions and their key values under ``binding``."""
-    positions: list[int] = []
-    key: list[Union[str, int]] = []
-    for i, arg in enumerate(atom.args):
-        if isinstance(arg, Const):
-            positions.append(i)
-            key.append(arg.value)
-        elif arg.name in binding:
-            positions.append(i)
-            key.append(binding[arg.name])
-    return tuple(positions), tuple(key)
-
-
-def _extend_data(atom: Atom, args: ArgTuple,
-                 binding: Binding) -> Union[Binding, None]:
-    new: Union[Binding, None] = None
-    for pattern, value in zip(atom.args, args):
-        if isinstance(pattern, Const):
-            if pattern.value != value:
-                return None
-        else:
-            source = new if new is not None else binding
-            bound = source.get(pattern.name)
-            if bound is None:
-                if new is None:
-                    new = dict(binding)
-                new[pattern.name] = value
-            elif bound != value:
-                return None
-    return new if new is not None else binding
-
-
-def _atom_matches(atom: Atom, store: TemporalStore,
-                  binding: Binding) -> Iterator[Binding]:
-    """Enumerate extensions of ``binding`` matching ``atom`` in ``store``."""
-    positions, key = _data_index(atom, binding)
-
-    if atom.time is None:
-        for args in store.nt.lookup(atom.pred, positions, key):
-            extended = _extend_data(atom, args, binding)
-            if extended is not None:
-                yield extended
-        return
-
-    tt = atom.time
-    if tt.var is None:
-        times: list[tuple[int, Union[Binding, None]]] = [(tt.offset, None)]
-    elif tt.var in binding:
-        base = binding[tt.var]
-        assert isinstance(base, int)
-        times = [(base + tt.offset, None)]
-    else:
-        times = []
-        for t in store.times(atom.pred):
-            base = t - tt.offset
-            if base >= 0:
-                extended = dict(binding)
-                extended[tt.var] = base
-                times.append((t, extended))
-
-    for t, time_binding in times:
-        effective = time_binding if time_binding is not None else binding
-        for args in store.lookup_at(atom.pred, t, positions, key):
-            extended = _extend_data(atom, args, effective)
-            if extended is not None:
-                yield extended
-
-
-def temporal_join(body: Sequence[Atom], order: Sequence[int],
-                  stores: Sequence[TemporalStore],
-                  binding: Union[Binding, None] = None) -> Iterator[Binding]:
-    """Enumerate bindings satisfying every body atom.
-
-    ``stores[k]`` supplies the facts for the atom at ``order[k]``; the
-    semi-naive path passes the delta store at position 0.
-    """
-    if binding is None:
-        binding = {}
-
-    def recurse(step_idx: int, binding: Binding) -> Iterator[Binding]:
-        if step_idx == len(order):
-            yield binding
-            return
-        atom = body[order[step_idx]]
-        for extended in _atom_matches(atom, stores[step_idx], binding):
-            yield from recurse(step_idx + 1, extended)
-
-    return recurse(0, binding)
-
-
-def _head_values(head: Atom,
-                 binding: Binding) -> tuple[str, Union[int, None], ArgTuple]:
-    if head.time is None:
-        time: Union[int, None] = None
-    elif head.time.var is None:
-        time = head.time.offset
-    else:
-        base = binding[head.time.var]
-        assert isinstance(base, int)
-        time = base + head.time.offset
-    args = tuple(
-        binding[a.name] if isinstance(a, Var) else a.value
-        for a in head.args
-    )
-    return head.pred, time, args
 
 
 def negatives_absent(rule: Rule, binding: Binding,
@@ -150,7 +38,7 @@ def negatives_absent(rule: Rule, binding: Binding,
     (:mod:`repro.temporal.stratified`) guarantees that.
     """
     for atom in rule.negative:
-        pred, time, args = _head_values(atom, binding)
+        pred, time, args = ground(atom, binding)
         if store.contains(pred, time, args):
             return False
     return True
@@ -187,13 +75,13 @@ def step(rules: Sequence[Rule], store: TemporalStore,
             rm.begin_round()
         order = plan_order(rule.body)
         stores = [store] * len(order)
-        for binding in temporal_join(rule.body, order, stores):
+        for binding in join(rule.body, order, stores):
             if rm is not None:
                 rm.probes += 1
             if rule.negative and not negatives_absent(rule, binding,
                                                       store):
                 continue
-            pred, time, args = _head_values(rule.head, binding)
+            pred, time, args = ground(rule.head, binding)
             if rm is None:
                 out.add(pred, time, args)
                 continue
@@ -323,14 +211,14 @@ def continue_fixpoint(rules: Sequence[Rule], store: TemporalStore,
                 if rule.body[i].pred not in delta_preds:
                     continue
                 stores = [delta] + [store] * (len(order) - 1)
-                for binding in temporal_join(rule.body, order, stores):
+                for binding in join(rule.body, order, stores):
                     probes += 1
                     if rm is not None:
                         rm.probes += 1
                     if rule.negative and not negatives_absent(
                             rule, binding, store):
                         continue
-                    pred, time, args = _head_values(rule.head, binding)
+                    pred, time, args = ground(rule.head, binding)
                     if rm is not None:
                         rm.firings += 1
                     if time is not None and time > horizon:
@@ -343,9 +231,9 @@ def continue_fixpoint(rules: Sequence[Rule], store: TemporalStore,
                         if provenance is not None:
                             provenance.record(
                                 rule, Fact(pred, time, args),
-                                tuple(Fact(*_head_values(a, binding))
+                                tuple(Fact(*ground(a, binding))
                                       for a in rule.body),
-                                tuple(Fact(*_head_values(a, binding))
+                                tuple(Fact(*ground(a, binding))
                                       for a in rule.negative),
                                 round_no)
                     elif rm is not None:

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Union
 
 from ..datalog.facts import ArgTuple, FactStore
 from ..lang.atoms import Fact
+from ..lang.subst import Binding, bound_key, extend_args
 
 #: A state M[t]: the set of (predicate, args) pairs holding at time t.
 State = frozenset[tuple[str, ArgTuple]]
@@ -128,6 +129,48 @@ class TemporalStore:
         elif self.stats is not None:
             self.stats.index_hits += 1
         return index.get(key, [])
+
+    def matches(self, atom, binding: Binding) -> Iterator[Binding]:
+        """Extensions of ``binding`` under which ``atom`` holds here (the
+        per-atom step of :func:`~repro.lang.subst.join`).
+
+        A non-temporal atom probes the ``nt`` store; a temporal one
+        probes one slice when its time is ground or bound, and every
+        slice of its predicate (binding the time variable) otherwise.
+        """
+        positions, key = bound_key(atom, binding)
+
+        if atom.time is None:
+            for args in self._nt.lookup(atom.pred, positions, key):
+                extended = extend_args(atom.args, args, binding)
+                if extended is not None:
+                    yield extended
+            return
+
+        tt = atom.time
+        if tt.var is None:
+            times: list[tuple[int, Union[Binding, None]]] = [
+                (tt.offset, None)]
+        elif tt.var in binding:
+            base = binding[tt.var]
+            assert isinstance(base, int)
+            times = [(base + tt.offset, None)]
+        else:
+            times = []
+            for t in self.times(atom.pred):
+                base = t - tt.offset
+                if base >= 0:
+                    time_binding = dict(binding)
+                    time_binding[tt.var] = base
+                    times.append((t, time_binding))
+
+        for t, time_binding in times:
+            effective = time_binding if time_binding is not None \
+                else binding
+            for args in self.lookup_at(atom.pred, t, positions, key):
+                extended = extend_args(atom.args, args, effective)
+                if extended is not None:
+                    yield extended
 
     def times(self, pred: str) -> list[int]:
         """All timepoints at which ``pred`` has at least one tuple."""

@@ -28,6 +28,7 @@ from typing import Iterator, Sequence, Union
 from ..lang.atoms import Atom, Fact
 from ..lang.errors import EvaluationError
 from ..lang.rules import Rule, validate_rules
+from ..lang.subst import instantiate_head, match_atom
 from ..lang.terms import Const
 from .database import TemporalDatabase
 
@@ -225,7 +226,7 @@ class TopDownEngine:
             if rm is not None:
                 rule_t0 = perf_counter()
             for full in self._solve_body(rule.body, 0, binding, rm):
-                fact = self._head_fact(rule.head, full)
+                fact = instantiate_head(rule.head, full)
                 if rm is not None:
                     rm.firings += 1
                 if fact.time is not None and (
@@ -282,7 +283,6 @@ class TopDownEngine:
                 sub_pattern[1] > self.horizon or sub_pattern[1] < 0):
             return
         sub_table = self._register(sub_pattern)
-        from ..lang.subst import match_atom
         for answer in list(sub_table.answers):
             self._probes += 1
             if rm is not None:
@@ -291,11 +291,6 @@ class TopDownEngine:
             if extended is not None:
                 yield from self._solve_body(body, index + 1, extended,
                                             rm)
-
-    @staticmethod
-    def _head_fact(head: Atom, binding: dict) -> Fact:
-        from ..lang.subst import instantiate_head
-        return instantiate_head(head, binding)
 
 
 def topdown_ask(rules: Sequence[Rule], database: TemporalDatabase,

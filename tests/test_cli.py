@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -743,3 +746,28 @@ orphan(0, b).
         assert args.max_predicted_cost == 5000.0
         args = build_parser().parse_args(["serve"])
         assert args.max_predicted_cost is None
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "examples/programs/travel.tdd"],
+    ["timeline", "examples/programs/travel.tdd"],
+    ["why", "examples/programs/oncall.tdd", "pageable(22, ada)"],
+])
+def test_closed_stdout_pipe_exits_quietly(argv):
+    """A reader that goes away (``repro run ... | head -1``) is not an
+    unreadable program: exit 0, nothing on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]]
+                               if env.get("PYTHONPATH") else []))
+    proc = subprocess.Popen([sys.executable, "-m", "repro", *argv],
+                            cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, stderr
+    assert stderr == b""
